@@ -501,10 +501,9 @@ BENCHMARK(BM_DispatchExecuteHandle);
 
 // --- Transport: wire codec, ping-pong, and batched fan-out -------------------
 //
-// Quantifies the inter-container message transport. The ping-pong pair
-// measures a single cross-container call round trip on real threads with
-// the transport on (mailbox + loopback link + serialization) vs off
-// (legacy direct executor-queue dispatch); the fan-out pair shows send-side
+// Quantifies the inter-container message transport. The ping-pong
+// measures a single cross-container call round trip on real threads
+// (mailbox + loopback link + serialization); the fan-out shows send-side
 // batching amortizing the per-message transfer cost. The sim benchmark
 // reports *virtual* local/remote latencies under a cost-injecting link
 // (Fig. 11's local-vs-remote gap through the real serialization path) —
@@ -589,12 +588,11 @@ struct TransportRig {
   ReactorId source;
   ProcId fan_out;
 
-  explicit TransportRig(bool use_transport) {
+  TransportRig() {
     BuildTransportDef(&def, kTransportReactors);
     DeploymentConfig dc = DeploymentConfig::SharedNothing(2);
     dc.placement = [](const std::string& name, size_t, size_t,
                       uint32_t) -> uint32_t { return name == "t0" ? 0 : 1; };
-    dc.use_transport = use_transport;
     REACTDB_CHECK_OK(rt.Bootstrap(&def, dc));
     REACTDB_CHECK_OK(LoadTransportCounters(&rt, kTransportReactors));
     REACTDB_CHECK_OK(rt.Start());
@@ -603,28 +601,27 @@ struct TransportRig {
   }
 };
 
-TransportRig* GetTransportRig(bool use_transport) {
-  static TransportRig* with = new TransportRig(true);
-  static TransportRig* without = new TransportRig(false);
-  return use_transport ? with : without;
+TransportRig* GetTransportRig() {
+  static TransportRig* rig = new TransportRig();
+  return rig;
 }
 
-/// One cross-container call + response per iteration. range(0): 1 = through
-/// Mailbox/LoopbackLink, 0 = legacy direct dispatch.
+/// One cross-container call + response per iteration, through
+/// Mailbox/LoopbackLink.
 void BM_TransportPingPong(benchmark::State& state) {
-  TransportRig* rig = GetTransportRig(state.range(0) != 0);
+  TransportRig* rig = GetTransportRig();
   for (auto _ : state) {
     ProcResult r = rig->rt.Execute(rig->source, rig->fan_out, {Value("t1")});
     REACTDB_CHECK(r.ok());
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TransportPingPong)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_TransportPingPong)->UseRealTime();
 
 /// Eight cross-container calls per iteration, all to one destination
-/// container — a single batched link transfer with the transport on.
+/// container — a single batched link transfer.
 void BM_TransportBatchedFanOut(benchmark::State& state) {
-  TransportRig* rig = GetTransportRig(state.range(0) != 0);
+  TransportRig* rig = GetTransportRig();
   Row dsts;
   for (int i = 1; i <= 8; ++i) dsts.push_back(Value("t" + std::to_string(i)));
   for (auto _ : state) {
@@ -633,7 +630,7 @@ void BM_TransportBatchedFanOut(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 8);
 }
-BENCHMARK(BM_TransportBatchedFanOut)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_TransportBatchedFanOut)->UseRealTime();
 
 /// Virtual-time local vs remote call latency on the simulated runtime with
 /// a cost-injecting SimLink (range(0) = one-way link latency in us).

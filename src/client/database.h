@@ -225,7 +225,6 @@ class Database {
                              const std::string& table_name) const {
     return rt_->FindTable(reactor_name, table_name);
   }
-  const RuntimeStats& stats() const { return rt_->stats(); }
 
   // --- Observability (src/obs/) ---------------------------------------------
 

@@ -138,20 +138,18 @@ struct TxnFrame {
   /// 1 for the frame's own coroutine, +1 per spawned child frame.
   std::atomic<int> pending{1};
   bool in_active_set = false;
-  /// True when this frame pins its executor's epoch slot (root frames and
-  /// cross-container arrivals).
-  bool pinned = false;
 
   /// Fulfilled with the procedure result when the body returns.
   Future completion;
 
-  /// Set when this frame was dispatched through the inter-container
-  /// transport (cross-container call with transport enabled): the body's
-  /// result travels back as a CallResponse message that fulfills
-  /// `reply_state` — the future the caller actually holds — on delivery at
-  /// the caller's container. `completion` is still fulfilled locally for
-  /// uniform bookkeeping, but has no listeners for transport frames.
-  bool via_transport = false;
+  /// Set for a cross-container call, which the transport delivered to this
+  /// frame's executor. The frame pins that executor's epoch slot while
+  /// open, and the body's result travels back as a CallResponse message
+  /// that fulfills `reply_state` — the future the caller actually holds —
+  /// on delivery at the caller's container. `completion` is still
+  /// fulfilled locally for uniform bookkeeping, but has no listeners for
+  /// remote frames.
+  bool remote = false;
   uint64_t transport_call_id = 0;
   uint32_t reply_to_container = 0;
   std::shared_ptr<FutureState> reply_state;

@@ -61,9 +61,6 @@ StatusOr<DeploymentConfig> DeploymentConfig::FromConfig(const Config& config) {
   if (config.Has("executor", "mpl")) {
     dc.mpl = static_cast<int>(config.GetInt("executor", "mpl", dc.mpl));
   }
-  if (config.Has("transport", "enabled")) {
-    dc.use_transport = config.GetInt("transport", "enabled", 1) != 0;
-  }
   if (config.Has("transport", "mailbox_capacity")) {
     dc.mailbox_capacity = static_cast<int>(
         config.GetInt("transport", "mailbox_capacity", dc.mailbox_capacity));
@@ -80,8 +77,7 @@ std::string DeploymentConfig::ToString() const {
   os << "containers=" << num_containers
      << " executors_per_container=" << executors_per_container << " routing="
      << (routing == RootRouting::kRoundRobin ? "round-robin" : "affinity")
-     << " mpl=" << mpl
-     << " transport=" << (use_transport ? "on" : "off");
+     << " mpl=" << mpl;
   return os.str();
 }
 

@@ -41,27 +41,15 @@ struct DeploymentConfig {
   /// (Section 3.2.3). 0 = unlimited.
   int mpl = 8;
 
-  /// Routes cross-container calls and root submissions through the typed
-  /// message transport (src/transport/): ReactorId-addressed messages,
-  /// per-container mailboxes, pluggable link. Off = legacy direct
-  /// executor-queue dispatch (kept for A/B equivalence testing).
-  bool use_transport = true;
-  /// Bound of each container's transport inbox. Senders block (thread
-  /// runtime) once a container is this far behind; sized so that only a
-  /// pathological imbalance ever hits it.
+  /// Bound of each container's transport inbox (src/transport/): every
+  /// root submission and cross-container call reaches its container as a
+  /// message through this inbox. Senders block (thread runtime) once a
+  /// container is this far behind; sized so that only a pathological
+  /// imbalance ever hits it. Must be >= 1.
   int mailbox_capacity = 65536;
   /// Max envelopes per link transfer; a batch also flushes at every
   /// executor scheduling boundary, whichever comes first.
   int transport_max_batch = 16;
-  /// Time-based flush (micro-delay coalescing), thread runtime only: when
-  /// > 0, an executor's batch buffers are held across task boundaries for
-  /// up to this many microseconds (steady clock) so bursts from *separate*
-  /// tasks coalesce into one link transfer, trading latency for batching
-  /// under heavy cross-container load. A batch still flushes early at
-  /// transport_max_batch. 0 (default) keeps the pure task-boundary flush —
-  /// behavior and message traces are unchanged. The simulator ignores this
-  /// knob: it sends eagerly and models batching costs in the SimLink.
-  double transport_flush_us = 0;
 
   /// Overload shedding high watermarks (0 = disabled). When the number of
   /// outstanding root transactions (submitted, not yet finalized) exceeds

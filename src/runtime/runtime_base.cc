@@ -74,8 +74,37 @@ Status RuntimeBase::Bootstrap(const ReactorDatabaseDef* def,
   if (dc.num_containers < 1 || dc.executors_per_container < 1) {
     return Status::InvalidArgument("deployment needs >= 1 container/executor");
   }
+  if (dc.mailbox_capacity < 1) {
+    return Status::InvalidArgument("deployment needs mailbox_capacity >= 1");
+  }
   def_ = def;
   dc_ = dc;
+  // The transport comes first, before anything below can fail: a
+  // bootstrapped runtime always has one (the destructor relies on it).
+  transport_ = std::make_unique<transport::Transport>(
+      static_cast<uint32_t>(dc_.num_containers),
+      static_cast<uint32_t>(dc_.total_executors()),
+      static_cast<size_t>(dc_.mailbox_capacity), dc_.transport_max_batch);
+  for (int c = 0; c < dc_.num_containers; ++c) {
+    drain_scheduled_.push_back(std::make_unique<std::atomic<bool>>(false));
+  }
+  transport_->set_on_inbox_ready(
+      [this](uint32_t container) { OnInboxReady(container); });
+  std::unique_ptr<transport::Link> link = MakeLink();
+  if (fault_injector_ != nullptr && fault_wrap_link_) {
+    // Chaos harness: perturb batches between the runtime's link and the
+    // mailboxes. The hold timer is PostDelayed, so held batches live on
+    // the same clock (and, under SimRuntime, the same event queue) as
+    // everything else — replayable from the plan seed.
+    link = std::make_unique<fault::FaultyLink>(
+        std::move(link), fault_injector_,
+        fault::FaultyLink::Params{fault_retransmit_delay_us_,
+                                  fault_max_delay_us_},
+        [this](double delay_us, std::function<void()> fn) {
+          PostDelayed(delay_us, std::move(fn));
+        });
+  }
+  transport_->set_link(std::move(link));
   for (int c = 0; c < dc_.num_containers; ++c) {
     catalogs_.push_back(std::make_unique<Catalog>());
   }
@@ -126,39 +155,6 @@ Status RuntimeBase::Bootstrap(const ReactorDatabaseDef* def,
     reactors_[id.value] = std::move(reactor);
   }
 
-  if (dc_.use_transport) {
-    transport_ = std::make_unique<transport::Transport>(
-        static_cast<uint32_t>(dc_.num_containers),
-        static_cast<uint32_t>(dc_.total_executors()),
-        static_cast<size_t>(dc_.mailbox_capacity), dc_.transport_max_batch);
-    for (int c = 0; c < dc_.num_containers; ++c) {
-      drain_scheduled_.push_back(std::make_unique<std::atomic<bool>>(false));
-    }
-    transport_->set_on_inbox_ready(
-        [this](uint32_t container) { OnInboxReady(container); });
-    std::unique_ptr<transport::Link> link = MakeLink();
-    if (fault_injector_ != nullptr && fault_wrap_link_) {
-      // Chaos harness: perturb batches between the runtime's link and the
-      // mailboxes. The hold timer is PostDelayed, so held batches live on
-      // the same clock (and, under SimRuntime, the same event queue) as
-      // everything else — replayable from the plan seed.
-      link = std::make_unique<fault::FaultyLink>(
-          std::move(link), fault_injector_,
-          fault::FaultyLink::Params{fault_retransmit_delay_us_,
-                                    fault_max_delay_us_},
-          [this](double delay_us, std::function<void()> fn) {
-            PostDelayed(delay_us, std::move(fn));
-          });
-    }
-    transport_->set_link(std::move(link));
-    if (dc_.transport_flush_us > 0) {
-      // Micro-delay coalescing (thread runtime; the simulator sends
-      // eagerly and never touches lane batches). The session clock is the
-      // executor loop's deadline clock, so stamps and sleeps can't drift.
-      transport_->ConfigureAgedFlush(dc_.transport_flush_us,
-                                     [this] { return SessionNowUs(); });
-    }
-  }
   RegisterMetrics();
   return Status::OK();
 }
@@ -290,21 +286,17 @@ void RuntimeBase::MonitorTick() {
     if (in.io_halted) in.io_status = durability_->io_status().ToString();
   }
   if (auditor_ != nullptr) in.audit_violation = auditor_->status().violation;
-  if (transport_ != nullptr) {
-    for (uint32_t c = 0; c < transport_->num_containers(); ++c) {
-      transport::Mailbox& mb =
-          const_cast<transport::Transport*>(transport_.get())->mailbox(c);
-      in.mailbox_depth_max =
-          std::max<uint64_t>(in.mailbox_depth_max, mb.size());
-    }
-    in.mailbox_capacity = static_cast<uint64_t>(
-        dc_.mailbox_capacity > 0 ? dc_.mailbox_capacity : 0);
+  for (uint32_t c = 0; c < transport_->num_containers(); ++c) {
+    in.mailbox_depth_max =
+        std::max<uint64_t>(in.mailbox_depth_max, transport_->mailbox(c).size());
   }
+  in.mailbox_capacity = static_cast<uint64_t>(dc_.mailbox_capacity);
   in.outstanding_roots = outstanding_roots();
   in.admission_watermark = static_cast<uint64_t>(
       dc_.shed_outstanding_roots > 0 ? dc_.shed_outstanding_roots : 0);
-  in.shed_total = stats_.shed.load(std::memory_order_relaxed);
-  in.deadline_total = stats_.aborted_deadline.load(std::memory_order_relaxed);
+  in.shed_total = static_cast<uint64_t>(snap.Value("reactdb_txn_shed_total"));
+  in.deadline_total = static_cast<uint64_t>(
+      snap.Value("reactdb_txn_aborted_total", {{"reason", "deadline"}}));
   SampleExecutors(&in.executors);
 
   obs::HealthState prev = health_->last().state;
@@ -429,45 +421,42 @@ void RuntimeBase::CollectRuntimeSamples(
           a.violation ? 1.0 : 0.0);
   }
 
-  if (transport_ != nullptr) {
-    const transport::TransportStats& t = transport_->stats();
-    for (transport::MessageKind kind :
-         {transport::MessageKind::kSubmit, transport::MessageKind::kCall,
-          transport::MessageKind::kResponse,
-          transport::MessageKind::kCommitVote}) {
-      std::string name(transport::MessageKindName(kind));
-      counter("reactdb_transport_sent_total", "Messages posted, by kind",
-              static_cast<double>(t.sent_of(kind)), {{"kind", name}});
-      counter("reactdb_transport_delivered_total",
-              "Messages delivered, by kind",
-              static_cast<double>(t.delivered_of(kind)), {{"kind", name}});
-    }
-    counter("reactdb_transport_batches_total", "Link transfers sent",
-            static_cast<double>(t.batches.load()));
-    counter("reactdb_transport_wire_bytes_total",
-            "Encoded bytes across the link",
-            static_cast<double>(t.wire_bytes.load()));
-    gauge("reactdb_transport_max_batch",
-          "Largest batch sent in one transfer",
-          static_cast<double>(t.max_batch.load()));
-    for (uint32_t c = 0; c < transport_->num_containers(); ++c) {
-      transport::Mailbox& mb =
-          const_cast<transport::Transport*>(transport_.get())->mailbox(c);
-      obs::Labels labels{{"container", std::to_string(c)}};
-      gauge("reactdb_mailbox_depth", "Envelopes queued in container inboxes",
-            static_cast<double>(mb.size()), labels);
-      counter("reactdb_mailbox_pushed_total", "Envelopes accepted by inboxes",
-              static_cast<double>(mb.pushed()), labels);
-      counter("reactdb_mailbox_rejected_total",
-              "Envelopes refused by full inboxes",
-              static_cast<double>(mb.rejected()), labels);
-      counter("reactdb_mailbox_overflowed_total",
-              "Forced pushes beyond inbox capacity",
-              static_cast<double>(mb.overflowed()), labels);
-      gauge("reactdb_mailbox_depth_hw",
-            "High-water mark of envelopes queued in container inboxes",
-            static_cast<double>(mb.max_depth()), labels);
-    }
+  const transport::TransportStats& t = transport_->stats();
+  for (transport::MessageKind kind :
+       {transport::MessageKind::kSubmit, transport::MessageKind::kCall,
+        transport::MessageKind::kResponse,
+        transport::MessageKind::kCommitVote}) {
+    std::string name(transport::MessageKindName(kind));
+    counter("reactdb_transport_sent_total", "Messages posted, by kind",
+            static_cast<double>(t.sent_of(kind)), {{"kind", name}});
+    counter("reactdb_transport_delivered_total",
+            "Messages delivered, by kind",
+            static_cast<double>(t.delivered_of(kind)), {{"kind", name}});
+  }
+  counter("reactdb_transport_batches_total", "Link transfers sent",
+          static_cast<double>(t.batches.load()));
+  counter("reactdb_transport_wire_bytes_total",
+          "Encoded bytes across the link",
+          static_cast<double>(t.wire_bytes.load()));
+  gauge("reactdb_transport_max_batch",
+        "Largest batch sent in one transfer",
+        static_cast<double>(t.max_batch.load()));
+  for (uint32_t c = 0; c < transport_->num_containers(); ++c) {
+    const transport::Mailbox& mb = transport_->mailbox(c);
+    obs::Labels labels{{"container", std::to_string(c)}};
+    gauge("reactdb_mailbox_depth", "Envelopes queued in container inboxes",
+          static_cast<double>(mb.size()), labels);
+    counter("reactdb_mailbox_pushed_total", "Envelopes accepted by inboxes",
+            static_cast<double>(mb.pushed()), labels);
+    counter("reactdb_mailbox_rejected_total",
+            "Envelopes refused by full inboxes",
+            static_cast<double>(mb.rejected()), labels);
+    counter("reactdb_mailbox_overflowed_total",
+            "Forced pushes beyond inbox capacity",
+            static_cast<double>(mb.overflowed()), labels);
+    gauge("reactdb_mailbox_depth_hw",
+          "High-water mark of envelopes queued in container inboxes",
+          static_cast<double>(mb.max_depth()), labels);
   }
 
   // Health surface: the watchdog's last published report (one sample of
@@ -541,7 +530,9 @@ void RuntimeBase::CollectRuntimeSamples(
 
 RuntimeBase::RuntimeBase() = default;
 
-RuntimeBase::~RuntimeBase() { DiscardInflightTransport(); }
+RuntimeBase::~RuntimeBase() {
+  if (def_ != nullptr) DiscardInflightTransport();
+}
 
 Status RuntimeBase::EnableDurability(const log::DurabilityOptions& options) {
   if (def_ == nullptr) return Status::Internal("Bootstrap first");
@@ -638,12 +629,11 @@ void RuntimeBase::DrainInbox(uint32_t container) {
         uint32_t executor = e.dst_executor;
         // The decoded argument row is authoritative — results downstream
         // depend on the serialization round-trip being exact.
-        DeliverRoot(executor,
-                    [this, root = ctx->root, reactor = ctx->reactor,
-                     fn = ctx->fn, executor,
-                     args = std::move(msg.args)]() mutable {
-                      StartRoot(root, reactor, fn, executor, std::move(args));
-                    });
+        PostRoot(executor,
+                 [this, root = ctx->root, reactor = ctx->reactor, fn = ctx->fn,
+                  executor, args = std::move(msg.args)]() mutable {
+                   StartRoot(root, reactor, fn, executor, std::move(args));
+                 });
         delete ctx;
         break;
       }
@@ -680,7 +670,6 @@ void RuntimeBase::DrainInbox(uint32_t container) {
 }
 
 void RuntimeBase::DiscardInflightTransport() {
-  if (transport_ == nullptr) return;
   // Chaos mode: duplicate envelopes share their ctx pointer, and a copy
   // whose twin was already delivered points at consumed state — free each
   // distinct, undelivered ctx exactly once.
@@ -850,7 +839,7 @@ Status RuntimeBase::Submit(ReactorId reactor_id, ProcId proc_id, Row args,
         outstanding_roots() >
             static_cast<uint64_t>(dc_.shed_outstanding_roots)) {
       shed = true;
-    } else if (dc_.shed_mailbox_depth > 0 && transport_ != nullptr &&
+    } else if (dc_.shed_mailbox_depth > 0 &&
                transport_->mailbox(reactor->container_id()).size() >=
                    static_cast<size_t>(dc_.shed_mailbox_depth)) {
       shed = true;
@@ -860,7 +849,6 @@ Status RuntimeBase::Submit(ReactorId reactor_id, ProcId proc_id, Row args,
     }
     if (shed) {
       submitted_roots_.fetch_sub(1, std::memory_order_seq_cst);
-      stats_.shed.fetch_add(1, std::memory_order_relaxed);
       metrics_.AddShared(metric_ids_.txn_shed);
       flight_->RecordShared(obs::FlightEventKind::kShed, outstanding_roots());
       NotifyClientProgress();
@@ -880,29 +868,21 @@ Status RuntimeBase::Submit(ReactorId reactor_id, ProcId proc_id, Row args,
       root->trace->Record(obs::SpanKind::kSubmit, root->submit_time_us);
     }
   }
-  uint32_t executor = RouteRoot(reactor);
-  if (transport_ != nullptr) {
-    // Client -> container boundary: the invocation crosses as a
-    // SubmitRequest through the target container's inbox.
-    transport::SubmitRequest msg;
-    msg.root_id = root->id;
-    msg.reactor = reactor_id;
-    msg.proc = proc_id;
-    msg.deadline_us = root->deadline_us;
-    msg.args = std::move(args);
-    transport::Envelope e;
-    e.kind = transport::MessageKind::kSubmit;
-    e.dst_container = reactor->container_id();
-    e.dst_executor = executor;
-    e.wire = transport::EncodeMessage(msg);
-    e.ctx = new PendingRoot{root, reactor, fn};
-    PostEnvelope(kClientLane, std::move(e));
-    return Status::OK();
-  }
-  PostRoot(executor, [this, root, reactor, fn, executor,
-                      args = std::move(args)]() mutable {
-    StartRoot(root, reactor, fn, executor, std::move(args));
-  });
+  // Client -> container boundary: the invocation crosses as a
+  // SubmitRequest through the target container's inbox.
+  transport::SubmitRequest msg;
+  msg.root_id = root->id;
+  msg.reactor = reactor_id;
+  msg.proc = proc_id;
+  msg.deadline_us = root->deadline_us;
+  msg.args = std::move(args);
+  transport::Envelope e;
+  e.kind = transport::MessageKind::kSubmit;
+  e.dst_container = reactor->container_id();
+  e.dst_executor = RouteRoot(reactor);
+  e.wire = transport::EncodeMessage(msg);
+  e.ctx = new PendingRoot{root, reactor, fn};
+  PostEnvelope(kClientLane, std::move(e));
   return Status::OK();
 }
 
@@ -1087,47 +1067,38 @@ Future RuntimeBase::DispatchCall(TxnFrame* caller, Reactor* target,
   }
   frame->in_active_set = true;
   frame->executor = target->home_executor();
-  frame->pinned = true;
+  frame->remote = true;
   root->live_remote_children.fetch_add(1, std::memory_order_acq_rel);
   if (root->trace != nullptr) {
     root->trace->Record(obs::SpanKind::kCallSend, SessionNowUs(),
                         static_cast<uint32_t>(frame->subtxn_id));
   }
   ChargeCs();
-  if (transport_ != nullptr) {
-    // The call crosses containers as a CallRequest; the result returns as a
-    // CallResponse that fulfills `reply` on delivery at this container. The
-    // callee frame travels through the envelope's in-process ctx — its
-    // arguments travel as bytes.
-    uint64_t call_id = next_call_id_.fetch_add(1, std::memory_order_relaxed);
-    Future reply;
-    frame->via_transport = true;
-    frame->transport_call_id = call_id;
-    frame->reply_to_container = caller->reactor->container_id();
-    frame->reply_state = reply.shared_state();
-    transport::CallRequest msg;
-    msg.root_id = root->id;
-    msg.call_id = call_id;
-    msg.subtxn_id = frame->subtxn_id;
-    msg.reactor = target->id();
-    msg.proc = proc;
-    msg.deadline_us = root->deadline_us;  // sub-transactions inherit it
-    msg.args = std::move(args);
-    transport::Envelope e;
-    e.kind = transport::MessageKind::kCall;
-    e.dst_container = target->container_id();
-    e.dst_executor = frame->executor;
-    e.wire = transport::EncodeMessage(msg);
-    e.ctx = new PendingCall{frame, fn};
-    PostEnvelope(caller->executor, std::move(e));
-    return reply;
-  }
-  PostReady(frame->executor,
-            [this, frame, fn, args = std::move(args)]() mutable {
-              PinExecutor(frame->executor);
-              ArriveFrame(frame, fn, std::move(args));
-            });
-  return f;
+  // The call crosses containers as a CallRequest; the result returns as a
+  // CallResponse that fulfills `reply` on delivery at this container. The
+  // callee frame travels through the envelope's in-process ctx — its
+  // arguments travel as bytes.
+  uint64_t call_id = next_call_id_.fetch_add(1, std::memory_order_relaxed);
+  Future reply;
+  frame->transport_call_id = call_id;
+  frame->reply_to_container = caller->reactor->container_id();
+  frame->reply_state = reply.shared_state();
+  transport::CallRequest msg;
+  msg.root_id = root->id;
+  msg.call_id = call_id;
+  msg.subtxn_id = frame->subtxn_id;
+  msg.reactor = target->id();
+  msg.proc = proc;
+  msg.deadline_us = root->deadline_us;  // sub-transactions inherit it
+  msg.args = std::move(args);
+  transport::Envelope e;
+  e.kind = transport::MessageKind::kCall;
+  e.dst_container = target->container_id();
+  e.dst_executor = frame->executor;
+  e.wire = transport::EncodeMessage(msg);
+  e.ctx = new PendingCall{frame, fn};
+  PostEnvelope(caller->executor, std::move(e));
+  return reply;
 }
 
 void RuntimeBase::ArriveFrame(TxnFrame* frame, const ProcFn* fn, Row args) {
@@ -1160,7 +1131,7 @@ void RuntimeBase::OnProcBodyFinished(TxnFrame* frame) {
     frame->root->trace->Record(obs::SpanKind::kCallDone, SessionNowUs(),
                                static_cast<uint32_t>(frame->subtxn_id));
   }
-  if (frame->via_transport) {
+  if (frame->remote) {
     // The caller holds the reply future, not `completion`: ship the result
     // home as a CallResponse. Sent from this executor's lane, so it batches
     // with any other messages this task produced.
@@ -1190,7 +1161,7 @@ void RuntimeBase::OnFramePartDone(TxnFrame* frame) {
     PostReady(frame->executor, [this, frame]() { FinalizeRoot(frame); });
     return;
   }
-  if (frame->pinned) {
+  if (frame->remote) {
     UnpinExecutor(frame->executor);
     frame->root->live_remote_children.fetch_sub(1, std::memory_order_acq_rel);
   }
@@ -1218,20 +1189,14 @@ void RuntimeBase::FinalizeRoot(TxnFrame* root_frame) {
     root->txn.Abort();
     Status s = root->AbortStatus();
     // Abort-reason family members: 0=cc, 1=user, 2=safety, 3=deadline.
-    uint32_t reason;
+    uint32_t reason = 0;
     if (s.IsSafetyAbort()) {
-      stats_.aborted_safety.fetch_add(1, std::memory_order_relaxed);
       reason = 2;
     } else if (s.IsUserAbort()) {
-      stats_.aborted_user.fetch_add(1, std::memory_order_relaxed);
       reason = 1;
     } else if (s.IsDeadlineExceeded()) {
-      stats_.aborted_deadline.fetch_add(1, std::memory_order_relaxed);
       proc_outcomes_.BumpDeadline(root->reactor_id, root->proc_id);
       reason = 3;
-    } else {
-      stats_.aborted_cc.fetch_add(1, std::memory_order_relaxed);
-      reason = 0;
     }
     metrics_.Add(executor,
                  obs::MetricId::Offset(metric_ids_.txn_aborted, reason));
@@ -1255,7 +1220,6 @@ void RuntimeBase::FinalizeRoot(TxnFrame* root_frame) {
         root->txn.Commit(&executors_[executor]->tids);
     if (tid.ok()) {
       root->commit_tid = *tid;
-      stats_.committed.fetch_add(1, std::memory_order_relaxed);
       metrics_.Add(executor, metric_ids_.txn_committed);
       if (root->txn.containers_touched().size() > 1) {
         metrics_.Add(executor, metric_ids_.txn_multi_container);
@@ -1271,7 +1235,6 @@ void RuntimeBase::FinalizeRoot(TxnFrame* root_frame) {
       outcome = root->proc_result;
       committed = true;
     } else {
-      stats_.aborted_cc.fetch_add(1, std::memory_order_relaxed);
       metrics_.Add(executor, obs::MetricId::Offset(metric_ids_.txn_aborted, 0));
       if (root->trace != nullptr) {
         root->trace->Record(obs::SpanKind::kAbort, SessionNowUs());
@@ -1295,7 +1258,7 @@ void RuntimeBase::FinalizeRoot(TxnFrame* root_frame) {
                     committed ? TidWord::Epoch(root->commit_tid) : 0, end_us);
     root->trace = nullptr;
   }
-  if (transport_ != nullptr && EmitCommitVotes()) {
+  if (EmitCommitVotes()) {
     // Multi-container transaction: broadcast the decision record each
     // participant would receive from distributed 2PC (commit is still the
     // centralized Silo validation — participants take no action yet).

@@ -59,21 +59,6 @@ struct AuditorStatus;
 /// Cost categories for simulated-time charging and Fig. 6 style profiling.
 enum class ChargeKind : uint8_t { kProc, kCs, kCr, kCommit, kInputGen };
 
-/// Outcome counters across all finalized root transactions.
-struct RuntimeStats {
-  std::atomic<uint64_t> committed{0};
-  std::atomic<uint64_t> aborted_cc{0};      // OCC/2PC validation failures
-  std::atomic<uint64_t> aborted_user{0};    // application-initiated aborts
-  std::atomic<uint64_t> aborted_safety{0};  // active-set safety condition
-  std::atomic<uint64_t> aborted_deadline{0};  // end-to-end deadline expiry
-  std::atomic<uint64_t> shed{0};  // submissions refused by admission control
-
-  uint64_t total_aborted() const {
-    return aborted_cc.load() + aborted_user.load() + aborted_safety.load() +
-           aborted_deadline.load();
-  }
-};
-
 /// Operational-plane configuration (Database::Options::monitor): the
 /// periodic sampler, its time-series windows, and the health watchdog.
 /// The flight recorder is always on (it is passive until events happen);
@@ -320,8 +305,7 @@ class RuntimeBase : public CallBridge {
 
   EpochManager* epochs() { return &epochs_; }
   const DeploymentConfig& deployment() const { return dc_; }
-  const RuntimeStats& stats() const { return stats_; }
-  /// Null when the deployment disabled the transport.
+  /// Never null after Bootstrap.
   const transport::Transport* transport() const { return transport_.get(); }
   size_t num_reactors() const { return reactors_.size(); }
   uint32_t HomeExecutorOf(ReactorId reactor) const;
@@ -360,7 +344,9 @@ class RuntimeBase : public CallBridge {
   /// finalization) — always processed.
   virtual void PostReady(uint32_t executor, std::function<void()> task) = 0;
   /// Posts to the admission lane (new root transactions) — processed only
-  /// while the executor is below its MPL.
+  /// while the executor is below its MPL. Called by DrainInbox when a
+  /// SubmitRequest arrives; SimRuntime enqueues directly (the link event
+  /// is the delivery).
   virtual void PostRoot(uint32_t executor, std::function<void()> task) = 0;
   /// MPL bookkeeping after a root retires on `executor`.
   virtual void OnRootRetired(uint32_t executor) = 0;
@@ -392,14 +378,11 @@ class RuntimeBase : public CallBridge {
   /// flight). SimRuntime drains inline — link events already run at the
   /// right virtual time.
   virtual void OnInboxReady(uint32_t container);
-  /// Dispatches a decoded sub-transaction arrival / root start to an
-  /// executor. Defaults post through the normal lanes; SimRuntime enqueues
-  /// directly to avoid double-scheduling (the link event is the delivery).
+  /// Dispatches a decoded sub-transaction arrival to an executor. Default
+  /// posts through the ready lane; SimRuntime enqueues directly to avoid
+  /// double-scheduling (the link event is the delivery).
   virtual void DeliverReady(uint32_t executor, std::function<void()> task) {
     PostReady(executor, std::move(task));
-  }
-  virtual void DeliverRoot(uint32_t executor, std::function<void()> task) {
-    PostRoot(executor, std::move(task));
   }
   /// Nudges the durability writers after work was logged (a commit, a
   /// direct bulk load). ThreadRuntime wakes the per-container writer
@@ -463,8 +446,9 @@ class RuntimeBase : public CallBridge {
   /// the Reactor itself) — no string-keyed lookups on the dispatch path.
   std::vector<std::unique_ptr<Reactor>> reactors_;
   std::vector<ExecutorInfo*> executors_;  // owned by subclass
-  /// Inter-container message transport (null when dc_.use_transport is
-  /// off). Created at Bootstrap with MakeLink().
+  /// Inter-container message transport, the only way a root submission or a
+  /// cross-container call leaves its container. Created at Bootstrap with
+  /// MakeLink().
   std::unique_ptr<transport::Transport> transport_;
   /// Per-container "drain pump scheduled" flags for the default
   /// OnInboxReady (coalesces wakeups to one pending pump per container).
@@ -499,7 +483,6 @@ class RuntimeBase : public CallBridge {
   /// seal covers them like executor commits).
   std::mutex direct_mu_;
   size_t direct_epoch_slot_ = 0;
-  RuntimeStats stats_;
 
   // --- Observability state --------------------------------------------------
   /// Registers every runtime metric (RuntimeMetricIds), initializes the

@@ -135,12 +135,7 @@ void SimRuntime::ChargeCommitCost(RootTxn* root) {
 void SimRuntime::Deliver(uint32_t executor, SimTask task) {
   double when = NowUs();
   events_.Schedule(when, [this, executor, task = std::move(task)]() mutable {
-    SimExecutor* exec = sim_execs_[executor].get();
-    if (task.is_root) {
-      exec->admission.push_back(std::move(task));
-    } else {
-      exec->ready.push_back(std::move(task));
-    }
+    sim_execs_[executor]->ready.push_back(std::move(task));
     TryDispatch(executor);
   });
 }
@@ -249,14 +244,6 @@ void SimRuntime::DeliverReady(uint32_t executor, std::function<void()> task) {
   TryDispatch(executor);
 }
 
-void SimRuntime::DeliverRoot(uint32_t executor, std::function<void()> task) {
-  SimTask t;
-  t.fn = std::move(task);
-  t.is_root = true;
-  sim_execs_[executor]->admission.push_back(std::move(t));
-  TryDispatch(executor);
-}
-
 void SimRuntime::PostReady(uint32_t executor, std::function<void()> task) {
   SimTask t;
   t.fn = std::move(task);
@@ -266,8 +253,8 @@ void SimRuntime::PostReady(uint32_t executor, std::function<void()> task) {
 void SimRuntime::PostRoot(uint32_t executor, std::function<void()> task) {
   SimTask t;
   t.fn = std::move(task);
-  t.is_root = true;
-  Deliver(executor, std::move(t));
+  sim_execs_[executor]->admission.push_back(std::move(t));
+  TryDispatch(executor);
 }
 
 void SimRuntime::OnRootRetired(uint32_t executor) {

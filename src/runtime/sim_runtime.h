@@ -73,6 +73,9 @@ class SimRuntime : public RuntimeBase {
 
  protected:
   void PostReady(uint32_t executor, std::function<void()> task) override;
+  /// Only DrainInbox posts roots, from inside the link's delivery event:
+  /// enqueued directly (an extra event at the same virtual time would
+  /// double-schedule the delivery).
   void PostRoot(uint32_t executor, std::function<void()> task) override;
   void OnRootRetired(uint32_t executor) override;
   void CreateExecutors() override;
@@ -88,19 +91,17 @@ class SimRuntime : public RuntimeBase {
   // The simulator routes cross-container traffic through the same
   // mailbox/serialization path as the thread runtime, but each message is
   // sent eagerly (per-message costs are the SimLink's job, not a batching
-  // boundary's) and deliveries are woven into the event queue so that with
-  // zero link costs the event trace is identical to direct dispatch:
+  // boundary's) and deliveries are woven into the event queue so that zero
+  // link costs add no virtual time:
   //  * requests/submits are delivered by a link event at the segment-aware
-  //    send time — exactly when the old direct PostReady/PostRoot event
-  //    fired — and drained straight into the executor lanes;
+  //    send time and drained straight into the executor lanes;
   //  * responses are marked deliver_inline: fulfilled at the send point
   //    inside the callee's segment, so the caller's resume is scheduled at
-  //    the same virtual time (and pays Cr) exactly as before.
+  //    that same virtual time (and pays Cr).
   std::unique_ptr<transport::Link> MakeLink() override;
   void PostEnvelope(uint32_t src_lane, transport::Envelope e) override;
   void OnInboxReady(uint32_t container) override { DrainInbox(container); }
   void DeliverReady(uint32_t executor, std::function<void()> task) override;
-  void DeliverRoot(uint32_t executor, std::function<void()> task) override;
 
   // --- Durability (virtual-time integration) --------------------------------
   //
@@ -118,7 +119,6 @@ class SimRuntime : public RuntimeBase {
   struct SimTask {
     std::function<void()> fn;
     bool charge_cr = false;
-    bool is_root = false;
     /// Frame the Cr charge is attributed to (remote wakeups).
     void* cr_frame = nullptr;
   };
@@ -133,8 +133,8 @@ class SimRuntime : public RuntimeBase {
     ResumeHook hook;
   };
 
-  /// Delivers a task to an executor lane at the current (segment-aware)
-  /// virtual time.
+  /// Delivers a task to an executor's ready lane at the current
+  /// (segment-aware) virtual time.
   void Deliver(uint32_t executor, SimTask task);
   bool HasEligible(const SimExecutor& exec) const;
   void TryDispatch(uint32_t executor);

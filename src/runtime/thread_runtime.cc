@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "src/log/durability.h"
 #include "src/util/logging.h"
@@ -92,42 +91,17 @@ void ThreadRuntime::Stop() {
 
 void ThreadRuntime::ExecutorLoop(ThreadExecutor* exec) {
   internal::SetCurrentResumeHook(&exec->hook);
-  const bool aged =
-      transport_ != nullptr && transport_->aged_flush_enabled();
   while (true) {
     std::function<void()> task;
     bool is_root = false;
     {
       std::unique_lock<std::mutex> lock(exec->mu);
-      auto runnable = [this, exec] {
+      exec->cv.wait(lock, [this, exec] {
         if (exec->stop) return true;
         if (!exec->ready.empty()) return true;
         return !exec->admission.empty() &&
                (dc_.mpl == 0 || exec->active_roots < dc_.mpl);
-      };
-      if (!aged) {
-        exec->cv.wait(lock, runnable);
-      } else {
-        // Time-based flush: while idle with coalescing batches pending,
-        // sleep only to the earliest batch deadline, then flush what aged
-        // out. The lane is single-writer (this thread), so reading its
-        // deadlines without exec->mu is safe.
-        while (!runnable()) {
-          double deadline = transport_->NextFlushDeadlineUs(exec->id);
-          if (deadline == std::numeric_limits<double>::infinity()) {
-            exec->cv.wait(lock);
-            continue;
-          }
-          double now_us = SessionNowUs();
-          if (now_us < deadline) {
-            exec->cv.wait_for(lock, std::chrono::duration<double, std::micro>(
-                                        deadline - now_us));
-          }
-          lock.unlock();
-          transport_->FlushAged(exec->id);
-          lock.lock();
-        }
-      }
+      });
       if (exec->stop) break;
       exec->heartbeat.fetch_add(1, std::memory_order_relaxed);
       if (!exec->ready.empty()) {
@@ -142,14 +116,13 @@ void ThreadRuntime::ExecutorLoop(ThreadExecutor* exec) {
     }
     task();
     // Scheduling boundary: everything the task produced for one
-    // destination container leaves as one batched link transfer — or, with
-    // transport_flush_us configured, once its micro-delay expires.
-    if (transport_ != nullptr) transport_->FlushAged(exec->id);
+    // destination container leaves as one batched link transfer.
+    transport_->Flush(exec->id);
   }
   // Nothing may linger in a lane batch past executor death (its in-process
   // ctx state would leak); Stop drained every root already, so anything
   // left is response/vote traffic whose envelopes teardown reclaims.
-  if (transport_ != nullptr) transport_->Flush(exec->id);
+  transport_->Flush(exec->id);
   internal::SetCurrentResumeHook(nullptr);
 }
 

@@ -1,7 +1,6 @@
 #include "src/transport/transport.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/util/logging.h"
 
@@ -76,14 +75,11 @@ void Transport::Post(uint32_t lane, Envelope e) {
   REACTDB_CHECK(dst < mailboxes_.size());
   stats_.sent[static_cast<size_t>(e.kind)].fetch_add(
       1, std::memory_order_relaxed);
-  Pending& pending = lanes_[lane][dst];
-  if (pending.batch.empty() && max_age_us_ > 0) {
-    pending.first_us = clock_();
-  }
-  pending.batch.push_back(std::move(e));
-  if (pending.batch.size() >= max_batch_) {
+  std::vector<Envelope>& pending = lanes_[lane][dst];
+  pending.push_back(std::move(e));
+  if (pending.size() >= max_batch_) {
     std::vector<Envelope> out;
-    out.swap(pending.batch);
+    out.swap(pending);
     SendBatch(dst, std::move(out));
   }
 }
@@ -91,46 +87,12 @@ void Transport::Post(uint32_t lane, Envelope e) {
 void Transport::Flush(uint32_t lane) {
   REACTDB_CHECK(lane < lanes_.size());
   for (uint32_t dst = 0; dst < mailboxes_.size(); ++dst) {
-    Pending& pending = lanes_[lane][dst];
-    if (pending.batch.empty()) continue;
+    std::vector<Envelope>& pending = lanes_[lane][dst];
+    if (pending.empty()) continue;
     std::vector<Envelope> out;
-    out.swap(pending.batch);
+    out.swap(pending);
     SendBatch(dst, std::move(out));
   }
-}
-
-void Transport::ConfigureAgedFlush(double max_age_us,
-                                   std::function<double()> clock) {
-  REACTDB_CHECK(max_age_us > 0 && clock != nullptr);
-  max_age_us_ = max_age_us;
-  clock_ = std::move(clock);
-}
-
-void Transport::FlushAged(uint32_t lane) {
-  if (max_age_us_ <= 0) {
-    Flush(lane);  // unconfigured: legacy task-boundary behavior
-    return;
-  }
-  REACTDB_CHECK(lane < lanes_.size());
-  double now = clock_();
-  for (uint32_t dst = 0; dst < mailboxes_.size(); ++dst) {
-    Pending& pending = lanes_[lane][dst];
-    if (pending.batch.empty()) continue;
-    if (now - pending.first_us < max_age_us_) continue;  // still coalescing
-    std::vector<Envelope> out;
-    out.swap(pending.batch);
-    SendBatch(dst, std::move(out));
-  }
-}
-
-double Transport::NextFlushDeadlineUs(uint32_t lane) const {
-  double deadline = std::numeric_limits<double>::infinity();
-  if (max_age_us_ <= 0) return deadline;
-  for (const Pending& pending : lanes_[lane]) {
-    if (pending.batch.empty()) continue;
-    deadline = std::min(deadline, pending.first_us + max_age_us_);
-  }
-  return deadline;
 }
 
 void Transport::PostNow(Envelope e) {

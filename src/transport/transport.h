@@ -84,22 +84,6 @@ class Transport {
   /// Immediate single-envelope transfer (no lane state; thread-safe).
   void PostNow(Envelope e);
 
-  /// Enables time-based flush (micro-delay coalescing): batches are
-  /// stamped with `clock()` when started, FlushAged only sends batches
-  /// older than `max_age_us`, and NextFlushDeadlineUs tells the executor
-  /// loop how long it may sleep. Flush() still sends everything (teardown).
-  /// Unconfigured (the default), FlushAged behaves exactly like Flush —
-  /// the legacy task-boundary flush.
-  void ConfigureAgedFlush(double max_age_us, std::function<double()> clock);
-  bool aged_flush_enabled() const { return max_age_us_ > 0; }
-  /// Flushes `lane` batches whose age reached max_age_us (all of them when
-  /// aged flush is unconfigured). Single-threaded per lane, like Post.
-  void FlushAged(uint32_t lane);
-  /// Earliest flush deadline among `lane`'s pending batches on the
-  /// configured clock; +infinity when nothing is pending. Only meaningful
-  /// from the lane's owning thread.
-  double NextFlushDeadlineUs(uint32_t lane) const;
-
   // --- Receive side --------------------------------------------------------
 
   Mailbox& mailbox(uint32_t container) { return *mailboxes_[container]; }
@@ -124,21 +108,12 @@ class Transport {
  private:
   void SendBatch(uint32_t dst_container, std::vector<Envelope> batch);
 
-  /// One per-destination batch buffer of one lane. `first_us` stamps the
-  /// first Post into an empty batch (aged-flush deadline base).
-  struct Pending {
-    std::vector<Envelope> batch;
-    double first_us = 0;
-  };
-
   std::unique_ptr<Link> link_;
   std::function<void(uint32_t)> on_inbox_ready_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   /// [lane][dst_container] -> pending batch.
-  std::vector<std::vector<Pending>> lanes_;
+  std::vector<std::vector<std::vector<Envelope>>> lanes_;
   const size_t max_batch_;
-  double max_age_us_ = 0;
-  std::function<double()> clock_;
   TransportStats stats_;
 };
 

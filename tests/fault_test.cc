@@ -178,7 +178,6 @@ struct ChaosResult {
   std::vector<std::string> fire_log;
   double total_balance = 0;
   std::string state;
-  uint64_t runtime_shed = 0;
   /// Logged runs only: online-auditor status at shutdown plus the offline
   /// re-check of the retained segments.
   audit::AuditorStatus online_audit;
@@ -232,7 +231,6 @@ ChaosResult RunChaos(FaultOptions fo, const std::string& data_dir) {
   }
   r.total_balance = smallbank::TotalBalance(db.runtime(), kCustomers).value();
   r.state = DumpState(db, *def);
-  r.runtime_shed = db.stats().shed.load();
   session.reset();
   db.Shutdown();
   if (!data_dir.empty()) {
@@ -388,7 +386,8 @@ TEST(Deadline, TinyBudgetExpiresTerminallyWithoutPartialEffects) {
   EXPECT_EQ(1u, stats.deadline_exceeded);
   EXPECT_EQ(0u, stats.committed);
   EXPECT_EQ(0u, stats.retried);
-  EXPECT_EQ(1u, rig.db.stats().aborted_deadline.load());
+  EXPECT_DOUBLE_EQ(1, rig.db.Stats().Value("reactdb_txn_aborted_total",
+                                           {{"reason", "deadline"}}));
 
   // No partial effects: the aborted transfer moved nothing.
   EXPECT_DOUBLE_EQ(initial,
@@ -417,7 +416,8 @@ TEST(Deadline, AmpleBudgetCommits) {
                                .Wait();
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_EQ(0u, session->stats().deadline_exceeded);
-  EXPECT_EQ(0u, rig.db.stats().aborted_deadline.load());
+  EXPECT_DOUBLE_EQ(0, rig.db.Stats().Value("reactdb_txn_aborted_total",
+                                           {{"reason", "deadline"}}));
 }
 
 // SessionOptions::default_budget_us applies when Submit passes no explicit
@@ -482,7 +482,8 @@ TEST(Overload, WatermarkShedsAndBackoffRetriesConverge) {
   EXPECT_EQ(static_cast<uint64_t>(kTxns), stats.committed)
       << "retry-with-backoff must convert sheds into delayed completion";
   EXPECT_EQ(0u, stats.failed);
-  EXPECT_GT(db.stats().shed.load(), 0u) << "watermark never shed";
+  EXPECT_GT(db.Stats().Value("reactdb_txn_shed_total"), 0)
+      << "watermark never shed";
   EXPECT_GT(stats.retried, 0u);
   EXPECT_GT(stats.backoff_us.count(), 0u)
       << "every shed retry should wait a jittered backoff";
@@ -535,7 +536,7 @@ TEST(Overload, InjectedAdmissionBurstShedsExactly) {
   }
   EXPECT_EQ(3, shed);
   EXPECT_EQ(kTxns - 3, committed);
-  EXPECT_EQ(3u, db.stats().shed.load());
+  EXPECT_DOUBLE_EQ(3, db.Stats().Value("reactdb_txn_shed_total"));
   EXPECT_EQ(3u, session->stats().shed);
   // One fire against the schedule (the burst), three fire-log entries.
   EXPECT_EQ(1u, db.fault_injector()->fires("admission.reject"));
@@ -580,7 +581,7 @@ TEST(Overload, RetryAbsorbsInjectedBurst) {
   EXPECT_EQ(0u, stats.shed) << "no shed may surface as a final outcome";
   EXPECT_GE(stats.retried, 3u);
   EXPECT_GE(stats.backoff_us.count(), 3u);
-  EXPECT_EQ(3u, db.stats().shed.load());
+  EXPECT_DOUBLE_EQ(3, db.Stats().Value("reactdb_txn_shed_total"));
 }
 
 }  // namespace

@@ -102,7 +102,8 @@ TEST(MetricsRegistry, ShardedHistogramMergeEqualsPooled) {
     pooled.Add(sample);
   }
 
-  const obs::MetricSample* s = reg.Collect().Find("test_latency_us");
+  obs::StatsSnapshot snap = reg.Collect();  // Find points into it
+  const obs::MetricSample* s = snap.Find("test_latency_us");
   ASSERT_NE(nullptr, s);
   ASSERT_EQ(obs::MetricType::kHistogram, s->type);
   EXPECT_EQ(pooled.count(), s->hist.count());

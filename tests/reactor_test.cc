@@ -237,7 +237,8 @@ TEST_F(SafetyConditionTest, ConcurrentCallsToSameReactorAbort) {
   ProcResult r = rt_->Execute("n0", "double_call", {Value("n1")});
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsSafetyAbort()) << r.status();
-  EXPECT_EQ(1u, rt_->stats().aborted_safety.load());
+  EXPECT_DOUBLE_EQ(1, rt_->Stats().Value("reactdb_txn_aborted_total",
+                                          {{"reason", "safety"}}));
 }
 
 TEST_F(SafetyConditionTest, SequentialCallsToSameReactorCommit) {

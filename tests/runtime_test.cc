@@ -175,7 +175,8 @@ TEST_P(CrossDeploymentTest, BumpAllCommitsAtomically) {
     ProcResult v = rt.Execute("c" + std::to_string(i), "get", {});
     EXPECT_EQ(i % 2 == 1 ? 1 : 0, v->AsInt64()) << "c" << i;
   }
-  EXPECT_EQ(9u, rt.stats().committed.load());  // bump_all + 8 gets
+  // bump_all + 8 gets
+  EXPECT_DOUBLE_EQ(9, rt.Stats().Value("reactdb_txn_committed_total"));
 }
 
 TEST_P(CrossDeploymentTest, UserAbortRollsBackRemoteEffects) {
@@ -188,22 +189,29 @@ TEST_P(CrossDeploymentTest, UserAbortRollsBackRemoteEffects) {
   EXPECT_TRUE(r.status().IsUserAbort());
   ProcResult v = rt.Execute("c2", "get", {});
   EXPECT_EQ(0, v->AsInt64());  // the remote bump rolled back
-  EXPECT_EQ(1u, rt.stats().aborted_user.load());
+  EXPECT_DOUBLE_EQ(
+      1, rt.Stats().Value("reactdb_txn_aborted_total", {{"reason", "user"}}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Deployments, CrossDeploymentTest,
                          ::testing::Values(0, 1, 2, 3));
 
-TEST(RuntimeStatsTest, CountsCommitAndAbortKinds) {
+TEST(RuntimeOutcomeCountersTest, CountsCommitAndAbortKinds) {
   auto def = CounterDef(4);
   SimRuntime rt;
   ASSERT_TRUE(rt.Bootstrap(def.get(), DeploymentConfig::SharedNothing(4)).ok());
   ASSERT_TRUE(LoadCounters(&rt, 4).ok());
   ASSERT_TRUE(rt.Execute("c0", "bump", {Value(int64_t{1})}).ok());
   ASSERT_FALSE(rt.Execute("c0", "bump_then_fail", {Value("c1")}).ok());
-  EXPECT_EQ(1u, rt.stats().committed.load());
-  EXPECT_EQ(1u, rt.stats().aborted_user.load());
-  EXPECT_EQ(1u, rt.stats().total_aborted());
+  obs::StatsSnapshot snap = rt.Stats();
+  EXPECT_DOUBLE_EQ(1, snap.Value("reactdb_txn_committed_total"));
+  EXPECT_DOUBLE_EQ(
+      1, snap.Value("reactdb_txn_aborted_total", {{"reason", "user"}}));
+  for (const char* reason : {"cc", "safety", "deadline"}) {
+    EXPECT_DOUBLE_EQ(
+        0, snap.Value("reactdb_txn_aborted_total", {{"reason", reason}}))
+        << reason;
+  }
 }
 
 TEST(RuntimeRoutingTest, AffinityKeepsReactorOnHomeExecutor) {
@@ -292,6 +300,14 @@ TEST(BootstrapTest, Validation) {
   DeploymentConfig bad;
   bad.num_containers = 0;
   EXPECT_FALSE(rt.Bootstrap(def.get(), bad).ok());
+  // A container inbox must hold at least one envelope: with capacity 0 the
+  // first thread-runtime submission would block forever in Mailbox::Push.
+  for (int capacity : {0, -1}) {
+    DeploymentConfig no_inbox = DeploymentConfig::SharedNothing(1);
+    no_inbox.mailbox_capacity = capacity;
+    Status s = rt.Bootstrap(def.get(), no_inbox);
+    EXPECT_TRUE(s.IsInvalidArgument()) << capacity << ": " << s;
+  }
   ASSERT_TRUE(rt.Bootstrap(def.get(), DeploymentConfig::SharedNothing(1)).ok());
   EXPECT_FALSE(rt.Bootstrap(def.get(), DeploymentConfig::SharedNothing(1)).ok())
       << "double bootstrap must fail";

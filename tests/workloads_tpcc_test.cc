@@ -64,12 +64,12 @@ TEST_F(TpccSimTest, RemoteNewOrderTouchesBothContainers) {
   }
   ProcResult r = rt_->Execute(req.reactor, req.proc, req.args);
   ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(1u, rt_->stats().committed.load());
+  EXPECT_DOUBLE_EQ(1, rt_->Stats().Value("reactdb_txn_committed_total"));
   EXPECT_TRUE(tpcc::CheckConsistency(rt_.get(), kWarehouses).ok());
 }
 
 TEST_F(TpccSimTest, InvalidItemRollsBack) {
-  uint64_t committed_before = rt_->stats().committed.load();
+  double committed_before = rt_->Stats().Value("reactdb_txn_committed_total");
   Row args = {Value(int64_t{1}), Value(int64_t{1}), Value(0.0), Value(0.0),
               Value(false), Value(int64_t{1}),
               // one invalid item
@@ -77,7 +77,8 @@ TEST_F(TpccSimTest, InvalidItemRollsBack) {
   ProcResult r = rt_->Execute(WarehouseName(1), "new_order", args);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsUserAbort());
-  EXPECT_EQ(committed_before, rt_->stats().committed.load());
+  EXPECT_DOUBLE_EQ(committed_before,
+                   rt_->Stats().Value("reactdb_txn_committed_total"));
   EXPECT_TRUE(tpcc::CheckConsistency(rt_.get(), kWarehouses).ok());
 }
 

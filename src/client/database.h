@@ -84,7 +84,7 @@ class Database {
     /// AuditStatus()/Stats() (reactdb_audit_* metrics). The same log is
     /// independently checkable offline with the reactdb_audit tool. Digest
     /// capture stays on the transaction arena — the warmed logged hot path
-    /// remains allocation-free (see bench_audit_overhead).
+    /// remains allocation-free (alloc_test; cost in bench_overhead).
     bool audit = false;
     /// Version-history window (epochs) retained by the online auditor;
     /// 0 = unbounded (memory grows with history — test use only).

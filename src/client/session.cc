@@ -31,7 +31,12 @@ Session::Session(RuntimeBase* rt, SessionOptions options)
 }
 
 Session::~Session() {
-  Drain();
+  // Drain, and also wait out an active deliverer: it may free the last slot
+  // and still be inside its delivery loop when the outcome is consumed.
+  rt_->ClientWait([this] {
+    std::lock_guard<std::mutex> lock(mu_);
+    return InFlightLocked() == 0 && !delivering_;
+  });
   if (durable_listener_ != 0) {
     // Blocks until any in-flight watermark callback finished.
     rt_->durability()->RemoveListener(durable_listener_);
@@ -259,6 +264,7 @@ void Session::OnRootDone(size_t idx, ProcResult result, const RootTxn& root) {
 void Session::Complete(size_t idx, ProcResult result,
                        const RootTxn::Profile& profile, uint64_t commit_tid,
                        bool rejected) {
+  rt_->metrics()->GaugeAddShared(rt_->metric_ids().session_inflight, -1);
   {
     std::lock_guard<std::mutex> lock(mu_);
     Slot& s = slots_[idx];
@@ -297,9 +303,13 @@ void Session::Complete(size_t idx, ProcResult result,
       }
     }
     s.state = Slot::State::kCompleted;
+    // Claim delivery in the same critical section: once mu_ drops, an
+    // active deliverer may deliver this slot and the owner destroy the
+    // session, so this thread must not touch it again.
+    if (delivering_) return;  // the active deliverer picks this up
+    delivering_ = true;
   }
-  rt_->metrics()->GaugeAddShared(rt_->metric_ids().session_inflight, -1);
-  RunDeliveries();
+  DeliverClaimed();
 }
 
 void Session::RunDeliveries() {
@@ -308,6 +318,13 @@ void Session::RunDeliveries() {
     if (delivering_) return;  // the active deliverer picks this up
     delivering_ = true;
   }
+  DeliverClaimed();
+}
+
+void Session::DeliverClaimed() {
+  // ~Session waits for !delivering_; once it drops the session may be gone,
+  // so nothing after the loop touches a member.
+  RuntimeBase* rt = rt_;
   while (true) {
     std::function<void(TxnOutcome)> then;
     TxnOutcome outcome;
@@ -320,7 +337,7 @@ void Session::RunDeliveries() {
       }
       Slot& s = slots_[idx];
       if (s.durable_epoch_required > 0) {
-        log::DurabilityManager* d = rt_->durability();
+        log::DurabilityManager* d = rt->durability();
         if (d != nullptr && !d->halted() &&
             d->durable_epoch() < s.durable_epoch_required) {
           // Not durable yet: hold this and (FIFO) everything behind it.
@@ -333,9 +350,9 @@ void Session::RunDeliveries() {
         // a commit already durable on arrival is not a durable wait.
         if (s.durable_held) {
           ++stats_.durable_waits;
-          stats_.durable_lag_us.Add(rt_->SessionNowUs() -
+          stats_.durable_lag_us.Add(rt->SessionNowUs() -
                                     s.outcome.complete_us);
-          rt_->metrics()->AddShared(rt_->metric_ids().session_durable_waits);
+          rt->metrics()->AddShared(rt->metric_ids().session_durable_waits);
         }
         s.durable_epoch_required = 0;
         s.durable_held = false;
@@ -360,7 +377,7 @@ void Session::RunDeliveries() {
   }
   // Slots freed / cursor advanced: blocked Submit / Wait / Drain callers
   // re-evaluate.
-  rt_->NotifyClientProgress();
+  rt->NotifyClientProgress();
 }
 
 TxnOutcome Session::WaitTicket(uint64_t ticket) {

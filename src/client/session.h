@@ -187,8 +187,8 @@ class Session {
  public:
   /// `rt` must outlive the session.
   explicit Session(RuntimeBase* rt, SessionOptions options = SessionOptions());
-  /// Drains in-flight work (see Drain) before destruction so no completion
-  /// callback can touch a dead session.
+  /// Drains in-flight work (see Drain) and waits out an active deliverer
+  /// before destruction so no completion callback can touch a dead session.
   ~Session();
 
   Session(const Session&) = delete;
@@ -293,6 +293,8 @@ class Session {
   /// at a time so Then-callbacks observe FIFO order even when completions
   /// race on different executor threads.
   void RunDeliveries();
+  /// The delivery loop, entered with delivering_ already claimed.
+  void DeliverClaimed();
 
   TxnOutcome WaitTicket(uint64_t ticket);
   bool ReadyTicket(uint64_t ticket) const;

@@ -12,13 +12,18 @@ StatusOr<Table*> TxnContext::table(TableSlot slot) const {
   return t;
 }
 
-StatusOr<Table*> TxnContext::table(const std::string& table_name) const {
-  Table* t = frame_->reactor->FindTable(table_name);
-  if (t == nullptr) {
+StatusOr<TableSlot> TxnContext::SlotOf(const std::string& table_name) const {
+  TableSlot slot = frame_->reactor->type().FindTableSlot(table_name);
+  if (frame_->reactor->FindTable(slot) == nullptr) {
     return Status::NotFound("reactor " + reactor_name() + " has no relation " +
                             table_name);
   }
-  return t;
+  return slot;
+}
+
+StatusOr<Table*> TxnContext::table(const std::string& table_name) const {
+  REACTDB_ASSIGN_OR_RETURN(TableSlot slot, SlotOf(table_name));
+  return table(slot);
 }
 
 void TxnContext::ChargeDelta(const TxnOpStats& before) {
@@ -54,11 +59,8 @@ StatusOr<Row> TxnContext::Get(TableSlot slot, const Row& key) {
 }
 
 StatusOr<Row> TxnContext::Get(const std::string& table_name, const Row& key) {
-  REACTDB_ASSIGN_OR_RETURN(Table * t, table(table_name));
-  TxnOpStats before = frame_->root->txn.stats();
-  auto result = frame_->root->txn.Get(t, key, container());
-  ChargeDelta(before);
-  return result;
+  REACTDB_ASSIGN_OR_RETURN(TableSlot slot, SlotOf(table_name));
+  return Get(slot, key);
 }
 
 Status TxnContext::Insert(TableSlot slot, const Row& row) {
@@ -70,11 +72,8 @@ Status TxnContext::Insert(TableSlot slot, const Row& row) {
 }
 
 Status TxnContext::Insert(const std::string& table_name, const Row& row) {
-  REACTDB_ASSIGN_OR_RETURN(Table * t, table(table_name));
-  TxnOpStats before = frame_->root->txn.stats();
-  Status s = frame_->root->txn.Insert(t, row, container());
-  ChargeDelta(before);
-  return s;
+  REACTDB_ASSIGN_OR_RETURN(TableSlot slot, SlotOf(table_name));
+  return Insert(slot, row);
 }
 
 Status TxnContext::Update(TableSlot slot, const Row& key,
@@ -88,11 +87,8 @@ Status TxnContext::Update(TableSlot slot, const Row& key,
 
 Status TxnContext::Update(const std::string& table_name, const Row& key,
                           const Row& new_row) {
-  REACTDB_ASSIGN_OR_RETURN(Table * t, table(table_name));
-  TxnOpStats before = frame_->root->txn.stats();
-  Status s = frame_->root->txn.Update(t, key, new_row, container());
-  ChargeDelta(before);
-  return s;
+  REACTDB_ASSIGN_OR_RETURN(TableSlot slot, SlotOf(table_name));
+  return Update(slot, key, new_row);
 }
 
 Status TxnContext::Delete(TableSlot slot, const Row& key) {
@@ -104,11 +100,8 @@ Status TxnContext::Delete(TableSlot slot, const Row& key) {
 }
 
 Status TxnContext::Delete(const std::string& table_name, const Row& key) {
-  REACTDB_ASSIGN_OR_RETURN(Table * t, table(table_name));
-  TxnOpStats before = frame_->root->txn.stats();
-  Status s = frame_->root->txn.Delete(t, key, container());
-  ChargeDelta(before);
-  return s;
+  REACTDB_ASSIGN_OR_RETURN(TableSlot slot, SlotOf(table_name));
+  return Delete(slot, key);
 }
 
 StatusOr<Select> TxnContext::From(TableSlot slot) const {
@@ -179,21 +172,35 @@ Future TxnContext::CallOn(ReactorId reactor, ProcId proc, Row args) {
 
 Future TxnContext::CallOn(const std::string& reactor_name, ProcId proc,
                           Row args) {
-  return bridge_->Call(frame_, reactor_name, proc, std::move(args));
+  ReactorId reactor = bridge_->ResolveReactor(reactor_name);
+  if (!reactor.valid()) return AbortCall(frame_, "no reactor " + reactor_name);
+  return CallOn(reactor, proc, std::move(args));
 }
 
 Future TxnContext::CallOn(const std::string& reactor_name,
                           const std::string& proc_name, Row args) {
-  return bridge_->Call(frame_, reactor_name, proc_name, std::move(args));
+  ReactorId reactor = bridge_->ResolveReactor(reactor_name);
+  if (!reactor.valid()) return AbortCall(frame_, "no reactor " + reactor_name);
+  ProcId proc = bridge_->ResolveProc(reactor, proc_name);
+  if (!proc.valid()) {
+    return AbortCall(frame_, "reactor " + reactor_name + " has no procedure " +
+                                 proc_name);
+  }
+  return CallOn(reactor, proc, std::move(args));
 }
 
 Future TxnContext::CallOn(const Value& target, ProcId proc, Row args) {
   if (target.type() == ValueType::kInt64) {
-    return bridge_->Call(
-        frame_, ReactorId{static_cast<uint32_t>(target.AsInt64())}, proc,
-        std::move(args));
+    return CallOn(ReactorId{static_cast<uint32_t>(target.AsInt64())}, proc,
+                  std::move(args));
   }
-  return bridge_->Call(frame_, target.AsString(), proc, std::move(args));
+  return CallOn(target.AsString(), proc, std::move(args));
+}
+
+Future AbortCall(TxnFrame* caller, const std::string& message) {
+  Status s = Status::InvalidArgument(message);
+  caller->root->MarkAbort(s);
+  return Future::Ready(s);
 }
 
 void TxnContext::Compute(double micros) { bridge_->Compute(micros); }

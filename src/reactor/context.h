@@ -43,17 +43,17 @@ class CallBridge {
 
   /// Dispatches a sub-transaction call from `caller`. Handles inlining
   /// (same reactor / same container), cross-container transport, the
-  /// active-set safety condition, and frame bookkeeping. The handle
-  /// overload is the hot path; the name overloads resolve once through the
-  /// bootstrap interner and delegate.
+  /// active-set safety condition, and frame bookkeeping. An invalid handle
+  /// aborts the caller's root with InvalidArgument.
   virtual Future Call(TxnFrame* caller, ReactorId reactor, ProcId proc,
                       Row args) = 0;
-  virtual Future Call(TxnFrame* caller, const std::string& reactor_name,
-                      const std::string& proc_name, Row args) = 0;
-  /// Mixed form for the common pattern of a dynamic target reactor (e.g.
-  /// from procedure arguments) with a statically known procedure.
-  virtual Future Call(TxnFrame* caller, const std::string& reactor_name,
-                      ProcId proc, Row args) = 0;
+
+  /// Name resolution through the bootstrap interner (invalid handle when
+  /// unknown); TxnContext's name-addressed calls resolve here and then
+  /// take the handle path.
+  virtual ReactorId ResolveReactor(const std::string& reactor_name) const = 0;
+  virtual ProcId ResolveProc(ReactorId reactor,
+                             const std::string& proc_name) const = 0;
 
   /// Models `micros` of computation on the current executor.
   virtual void Compute(double micros) = 0;
@@ -62,6 +62,10 @@ class CallBridge {
   /// executor's cost meter (no-op in the thread runtime).
   virtual void ChargeStorage(StorageOpKind kind, uint64_t n) = 0;
 };
+
+/// Marks the caller's root aborted with InvalidArgument(`message`) and
+/// returns a ready errored future (unknown reactor/procedure in a call).
+Future AbortCall(TxnFrame* caller, const std::string& message);
 
 class TxnContext {
  public:
@@ -114,8 +118,9 @@ class TxnContext {
 
   /// `proc_name(args) on reactor reactor_name` (Section 2.2.2). Direct
   /// self-calls are inlined synchronously (Section 2.2.4). The handle
-  /// overload dispatches without any string lookup; the mixed overload
-  /// resolves only the (dynamic) reactor name.
+  /// overload dispatches without any string lookup; the name overloads
+  /// resolve once and take it. An unknown reactor or procedure aborts the
+  /// caller's root with InvalidArgument naming it.
   Future CallOn(ReactorId reactor, ProcId proc, Row args);
   Future CallOn(const std::string& reactor_name, ProcId proc, Row args);
   Future CallOn(const std::string& reactor_name, const std::string& proc_name,
@@ -136,6 +141,9 @@ class TxnContext {
  private:
   /// Charges the difference in SiloTxn op stats since `before`.
   void ChargeDelta(const TxnOpStats& before);
+  /// Slot of one of this reactor's relations; NotFound naming it when the
+  /// reactor has no such relation.
+  StatusOr<TableSlot> SlotOf(const std::string& table_name) const;
 
   CallBridge* bridge_;
   TxnFrame* frame_;

@@ -941,12 +941,6 @@ void RuntimeBase::StartRoot(RootTxn* root, Reactor* reactor, const ProcFn* fn,
   StartFrameCoroutine(frame, fn, std::move(args));
 }
 
-Future RuntimeBase::AbortCall(TxnFrame* caller, const std::string& message) {
-  Status s = Status::InvalidArgument(message);
-  caller->root->MarkAbort(s);
-  return Future::Ready(s);
-}
-
 Future RuntimeBase::Call(TxnFrame* caller, ReactorId reactor, ProcId proc,
                          Row args) {
   Reactor* target = FindReactor(reactor);
@@ -960,41 +954,6 @@ Future RuntimeBase::Call(TxnFrame* caller, ReactorId reactor, ProcId proc,
                                  " has no procedure handle #" +
                                  std::to_string(proc.value));
   }
-  return DispatchCall(caller, target, proc, fn, std::move(args));
-}
-
-Future RuntimeBase::Call(TxnFrame* caller, const std::string& reactor_name,
-                         const std::string& proc_name, Row args) {
-  Reactor* target = FindReactor(reactor_name);
-  if (target == nullptr) {
-    return AbortCall(caller, "no reactor " + reactor_name);
-  }
-  ProcId proc = target->type().FindProcId(proc_name);
-  const ProcFn* fn = target->type().FindProcedure(proc);
-  if (fn == nullptr) {
-    return AbortCall(caller, "reactor type " + target->type().name() +
-                                 " has no procedure " + proc_name);
-  }
-  return DispatchCall(caller, target, proc, fn, std::move(args));
-}
-
-Future RuntimeBase::Call(TxnFrame* caller, const std::string& reactor_name,
-                         ProcId proc, Row args) {
-  Reactor* target = FindReactor(reactor_name);
-  if (target == nullptr) {
-    return AbortCall(caller, "no reactor " + reactor_name);
-  }
-  const ProcFn* fn = target->type().FindProcedure(proc);
-  if (fn == nullptr) {
-    return AbortCall(caller, "reactor type " + target->type().name() +
-                                 " has no procedure handle #" +
-                                 std::to_string(proc.value));
-  }
-  return DispatchCall(caller, target, proc, fn, std::move(args));
-}
-
-Future RuntimeBase::DispatchCall(TxnFrame* caller, Reactor* target,
-                                 ProcId proc, const ProcFn* fn, Row args) {
   RootTxn* root = caller->root;
 
   // Call boundary: don't fan out further work on a spent budget — fail the

@@ -210,10 +210,11 @@ class RuntimeBase : public CallBridge {
   // --- One-time handle resolution (client load time) ------------------------
 
   /// Interned handle of a declared reactor; invalid when unknown.
-  ReactorId ResolveReactor(const std::string& reactor_name) const;
+  ReactorId ResolveReactor(const std::string& reactor_name) const override;
   /// Interned handle of a procedure of `reactor`'s type; invalid when
   /// unknown (or when the reactor handle itself is invalid).
-  ProcId ResolveProc(ReactorId reactor, const std::string& proc_name) const;
+  ProcId ResolveProc(ReactorId reactor,
+                     const std::string& proc_name) const override;
   /// Interned slot of a relation of `reactor`'s type; invalid when unknown.
   TableSlot ResolveTable(ReactorId reactor,
                          const std::string& table_name) const;
@@ -314,10 +315,6 @@ class RuntimeBase : public CallBridge {
   // --- CallBridge ----------------------------------------------------------
   Future Call(TxnFrame* caller, ReactorId reactor, ProcId proc,
               Row args) override;
-  Future Call(TxnFrame* caller, const std::string& reactor_name,
-              const std::string& proc_name, Row args) override;
-  Future Call(TxnFrame* caller, const std::string& reactor_name, ProcId proc,
-              Row args) override;
 
  protected:
   struct ExecutorInfo {
@@ -417,14 +414,6 @@ class RuntimeBase : public CallBridge {
 
   void StartRoot(RootTxn* root, Reactor* reactor, const ProcFn* fn,
                  uint32_t executor, Row args);
-  /// Shared guts of the Call overloads, after target/procedure resolution.
-  /// `proc` is the wire identity of `fn` (needed to address the call in a
-  /// transport message).
-  Future DispatchCall(TxnFrame* caller, Reactor* target, ProcId proc,
-                      const ProcFn* fn, Row args);
-  /// Marks the caller's root aborted with InvalidArgument(`message`) and
-  /// returns a ready errored future (unknown reactor/procedure in a call).
-  Future AbortCall(TxnFrame* caller, const std::string& message);
   void ArriveFrame(TxnFrame* frame, const ProcFn* fn, Row args);
   void StartFrameCoroutine(TxnFrame* frame, const ProcFn* fn, Row args);
   void OnProcBodyFinished(TxnFrame* frame);

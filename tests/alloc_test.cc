@@ -3,15 +3,20 @@
 // a warmed smallbank-style point read/update transaction must perform zero
 // heap allocations through submit-execute-validate-commit at the
 // storage/txn layer (arena-backed sets, inline key buffers, recycled
-// install rows).
+// install rows) — also with logging, metrics, audit capture, and the
+// operational plane (flight recorder + live sampler) armed.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include "src/log/log_shard.h"
+#include "src/obs/flight.h"
 #include "src/obs/metrics.h"
+#include "src/obs/timeseries.h"
 #include "src/reactor/symbol.h"
 #include "src/storage/table.h"
 #include "src/txn/epoch.h"
@@ -20,13 +25,14 @@
 #include "src/util/keycodec.h"
 
 namespace {
-std::atomic<uint64_t> g_allocs{0};
-std::atomic<bool> g_counting{false};
+// Thread-local: only the thread that flips t_counting — the transaction
+// thread — counts. A helper thread (the sampler) allocates by design, off
+// the hot path.
+thread_local uint64_t t_allocs = 0;
+thread_local bool t_counting = false;
 
 void* CountedAlloc(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (t_counting) ++t_allocs;
   void* p = std::malloc(size == 0 ? 1 : size);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -36,9 +42,7 @@ void* CountedAlloc(std::size_t size) {
 void* operator new(std::size_t size) { return CountedAlloc(size); }
 void* operator new[](std::size_t size) { return CountedAlloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (t_counting) ++t_allocs;
   return std::malloc(size == 0 ? 1 : size);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
@@ -76,9 +80,13 @@ class WarmedSmallbankTxn {
  public:
   /// `log` (optional) enables redo capture: the table gets a durable
   /// identity and every transaction binds the shard, exactly as the
-  /// runtime does when a data_dir is configured.
-  explicit WarmedSmallbankTxn(log::LogShard* log = nullptr)
-      : savings_(SavingsSchema()), key_({Value(int64_t{1})}), log_(log) {
+  /// runtime does when a data_dir is configured. `audit` additionally
+  /// enables read-set capture (Options::audit).
+  explicit WarmedSmallbankTxn(log::LogShard* log = nullptr, bool audit = false)
+      : savings_(SavingsSchema()),
+        key_({Value(int64_t{1})}),
+        log_(log),
+        audit_(audit) {
     if (log_ != nullptr) {
       savings_.BindDurableId(ReactorId{0}, TableSlot{0});
     }
@@ -94,6 +102,7 @@ class WarmedSmallbankTxn {
     {
       SiloTxn txn(&epochs_, &arena_);
       if (log_ != nullptr) txn.BindLog(log_);
+      if (audit_) txn.EnableAuditCapture();
       ok &= txn.GetInto(&savings_, key_, &row_, 0).ok();
       updated_ = row_;
       updated_[1] = Value(updated_[1].AsDouble() + 1.0);
@@ -127,6 +136,7 @@ class WarmedSmallbankTxn {
   Row row_;
   Row updated_;
   log::LogShard* log_ = nullptr;
+  bool audit_ = false;
   std::string collect_spare_;
   bool loaded_ = false;
   uint64_t txns_ = 0;
@@ -138,14 +148,14 @@ TEST(AllocationRegression, WarmedSmallbankPointTxnIsAllocationFree) {
   for (int i = 0; i < 256; ++i) ASSERT_TRUE(rig.RunOne()) << "warmup " << i;
   ASSERT_GT(rig.epochs_.row_pool_size(), 0u) << "rows must recycle";
 
-  g_allocs.store(0);
-  g_counting.store(true);
+  t_allocs = 0;
+  t_counting = true;
   bool ok = true;
   for (int i = 0; i < 256; ++i) ok &= rig.RunOne();
-  g_counting.store(false);
+  t_counting = false;
 
   EXPECT_TRUE(ok);
-  EXPECT_EQ(0u, g_allocs.load())
+  EXPECT_EQ(0u, t_allocs)
       << "warmed point read/update transactions must not touch the heap";
 }
 
@@ -159,14 +169,14 @@ TEST(AllocationRegression, WarmedPointTxnWithLoggingIsAllocationFree) {
   ASSERT_TRUE(rig.loaded_);
   for (int i = 0; i < 256; ++i) ASSERT_TRUE(rig.RunOne()) << "warmup " << i;
 
-  g_allocs.store(0);
-  g_counting.store(true);
+  t_allocs = 0;
+  t_counting = true;
   bool ok = true;
   for (int i = 0; i < 256; ++i) ok &= rig.RunOne();
-  g_counting.store(false);
+  t_counting = false;
 
   EXPECT_TRUE(ok);
-  EXPECT_EQ(0u, g_allocs.load())
+  EXPECT_EQ(0u, t_allocs)
       << "redo logging must not add heap traffic to the warmed hot path";
   EXPECT_GT(shard.max_epoch(), 0u) << "the shard must actually see records";
 }
@@ -188,8 +198,8 @@ TEST(AllocationRegression, WarmedPointTxnWithMetricsIsAllocationFree) {
   ASSERT_TRUE(rig.loaded_);
   for (int i = 0; i < 256; ++i) ASSERT_TRUE(rig.RunOne()) << "warmup " << i;
 
-  g_allocs.store(0);
-  g_counting.store(true);
+  t_allocs = 0;
+  t_counting = true;
   bool ok = true;
   for (int i = 0; i < 256; ++i) {
     ok &= rig.RunOne();
@@ -198,13 +208,95 @@ TEST(AllocationRegression, WarmedPointTxnWithMetricsIsAllocationFree) {
     reg.GaugeMax(0, arena_hw,
                  static_cast<int64_t>(rig.arena_.bytes_used()));
   }
-  g_counting.store(false);
+  t_counting = false;
 
   EXPECT_TRUE(ok);
-  EXPECT_EQ(0u, g_allocs.load())
+  EXPECT_EQ(0u, t_allocs)
       << "metrics instrumentation must not add heap traffic to the hot path";
   EXPECT_DOUBLE_EQ(256,
                    reg.Collect().Value("reactdb_txn_committed_total"));
+}
+
+// The audit gate: the warmed logged point transaction with read-set capture
+// (Options::audit) must stay allocation-free — read digests are encoded
+// into the per-root arena and the kTxnAudit record is one shard append.
+TEST(AllocationRegression, WarmedPointTxnWithAuditCaptureIsAllocationFree) {
+  log::LogShard shard;
+  WarmedSmallbankTxn rig(&shard, /*audit=*/true);
+  ASSERT_TRUE(rig.loaded_);
+  for (int i = 0; i < 256; ++i) ASSERT_TRUE(rig.RunOne()) << "warmup " << i;
+
+  t_allocs = 0;
+  t_counting = true;
+  bool ok = true;
+  for (int i = 0; i < 256; ++i) ok &= rig.RunOne();
+  t_counting = false;
+
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(0u, t_allocs)
+      << "read-set capture must not add heap traffic to the hot path";
+  EXPECT_GT(shard.max_epoch(), 0u) << "the shard must actually see records";
+}
+
+// The operational-plane gate (Options::monitor): the warmed logged point
+// transaction with registry recording, a flight event at every epoch
+// boundary, and a live sampler thread folding Collect() snapshots into a
+// TimeSeriesStore must stay allocation-free on the transaction thread. The
+// sampler's own snapshot allocations are off the hot path and not counted
+// (the tally is thread-local); the counted window spans live samples.
+TEST(AllocationRegression, WarmedPointTxnWithFlightAndSamplerIsAllocationFree) {
+  obs::MetricsRegistry reg;
+  obs::MetricId committed = reg.Counter("reactdb_txn_committed_total", "c");
+  obs::MetricId latency = reg.Histo("reactdb_txn_latency_us", "l");
+  reg.Freeze(1);
+  obs::FlightRecorder flight(1, 256);
+  obs::TimeSeriesStore series(64);
+  log::LogShard shard;
+  WarmedSmallbankTxn rig(&shard);
+  ASSERT_TRUE(rig.loaded_);
+  auto run_one = [&] {
+    bool ok = rig.RunOne();
+    reg.Add(0, committed);
+    reg.Observe(0, latency, 1.0);
+    if (rig.txns_ % 32 == 0) {
+      flight.Record(0, obs::FlightEventKind::kEpochAdvance,
+                    rig.epochs_.current());
+    }
+    return ok;
+  };
+  for (int i = 0; i < 256; ++i) ASSERT_TRUE(run_one()) << "warmup " << i;
+
+  // Started after the ASSERTs: no early return may skip the join below.
+  std::atomic<bool> stop{false};
+  std::thread sampler([&] {
+    double t_us = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      series.Sample(t_us += 1000, reg.Collect());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const uint64_t samples_before = series.samples_taken();
+  t_allocs = 0;
+  t_counting = true;
+  bool ok = true;
+  int txns = 0;
+  // At least 256 transactions, and on until the sampler folded two more
+  // snapshots (bounded, so a stalled sampler fails the test, not hangs it).
+  while (txns < 256 || (series.samples_taken() < samples_before + 2 &&
+                        txns < 50'000'000)) {
+    ok &= run_one();
+    ++txns;
+  }
+  t_counting = false;
+  stop.store(true, std::memory_order_relaxed);
+  sampler.join();
+
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(0u, t_allocs)
+      << "flight recording + a live sampler must not add heap traffic to "
+         "the transaction thread";
+  EXPECT_GE(series.samples_taken(), samples_before + 2)
+      << "the sampler must run during the counted window";
 }
 
 // The deadline gate: a warmed point transaction with a deadline *set* (but
@@ -220,8 +312,8 @@ TEST(AllocationRegression, WarmedPointTxnWithDeadlineSetIsAllocationFree) {
   for (int i = 0; i < 256; ++i) ASSERT_TRUE(rig.RunOne()) << "warmup " << i;
 
   double now_us = 1000.0;
-  g_allocs.store(0);
-  g_counting.store(true);
+  t_allocs = 0;
+  t_counting = true;
   bool ok = true;
   bool expired = false;
   for (int i = 0; i < 256; ++i) {
@@ -236,11 +328,11 @@ TEST(AllocationRegression, WarmedPointTxnWithDeadlineSetIsAllocationFree) {
     expired |= deadline_us > 0 && now_us > deadline_us;
     outcomes.Bump(ReactorId{0}, ProcId{0}, /*committed=*/!expired);
   }
-  g_counting.store(false);
+  t_counting = false;
 
   EXPECT_TRUE(ok);
   EXPECT_FALSE(expired);
-  EXPECT_EQ(0u, g_allocs.load())
+  EXPECT_EQ(0u, t_allocs)
       << "a set-but-unexpired deadline must not add heap traffic";
   EXPECT_EQ(256u, outcomes.committed(ReactorId{0}, ProcId{0}));
   EXPECT_EQ(0u, outcomes.deadline_exceeded(ReactorId{0}, ProcId{0}));
@@ -251,12 +343,12 @@ TEST(AllocationRegression, WarmedKeyEncodeIsAllocationFree) {
   KeyBuf buf;
   EncodeKeyTo(key, &buf);  // warm (inline storage only, but be uniform)
 
-  g_allocs.store(0);
-  g_counting.store(true);
+  t_allocs = 0;
+  t_counting = true;
   for (int i = 0; i < 1000; ++i) EncodeKeyTo(key, &buf);
-  g_counting.store(false);
+  t_counting = false;
 
-  EXPECT_EQ(0u, g_allocs.load());
+  EXPECT_EQ(0u, t_allocs);
   EXPECT_EQ(EncodeKey(key), buf.ToString());
 }
 
@@ -264,8 +356,8 @@ TEST(AllocationRegression, ReadOnlyTxnIsAllocationFree) {
   WarmedSmallbankTxn rig;
   for (int i = 0; i < 64; ++i) ASSERT_TRUE(rig.RunOne());
 
-  g_allocs.store(0);
-  g_counting.store(true);
+  t_allocs = 0;
+  t_counting = true;
   bool ok = true;
   for (int i = 0; i < 256; ++i) {
     SiloTxn txn(&rig.epochs_, &rig.arena_);
@@ -273,10 +365,10 @@ TEST(AllocationRegression, ReadOnlyTxnIsAllocationFree) {
     ok &= txn.Commit(&rig.tids_).ok();
     rig.arena_.Reset();
   }
-  g_counting.store(false);
+  t_counting = false;
 
   EXPECT_TRUE(ok);
-  EXPECT_EQ(0u, g_allocs.load());
+  EXPECT_EQ(0u, t_allocs);
 }
 
 }  // namespace

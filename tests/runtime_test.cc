@@ -107,6 +107,14 @@ Proc BumpThenFail(TxnContext& ctx, Row args) {
   co_return Status::UserAbort("deliberate");
 }
 
+// call_named(reactor, proc): a fully name-addressed call.
+Proc CallNamed(TxnContext& ctx, Row args) {
+  Future f = ctx.CallOn(args[0].AsString(), args[1].AsString(), {});
+  ProcResult r = co_await f;
+  REACTDB_CO_RETURN_IF_ERROR(r.status());
+  co_return *r;
+}
+
 std::unique_ptr<ReactorDatabaseDef> CounterDef(int n) {
   auto def = std::make_unique<ReactorDatabaseDef>();
   ReactorType& t = def->DefineType("Counter");
@@ -120,6 +128,7 @@ std::unique_ptr<ReactorDatabaseDef> CounterDef(int n) {
   t.AddProcedure("bump", &Bump);
   t.AddProcedure("bump_all", &BumpAll);
   t.AddProcedure("bump_then_fail", &BumpThenFail);
+  t.AddProcedure("call_named", &CallNamed);
   for (int i = 0; i < n; ++i) {
     REACTDB_CHECK_OK(def->DeclareReactor("c" + std::to_string(i), "Counter"));
   }
@@ -280,6 +289,31 @@ TEST(RuntimeConflictTest, ConcurrentRootsOnOneReactorSerialize) {
   ProcResult v = rt.Execute("c0", "get", {});
   // Exactly the committed bumps are visible — no lost updates.
   EXPECT_EQ(committed, v->AsInt64());
+}
+
+// Name-addressed calls resolve once and take the handle path; an unknown
+// reactor or procedure aborts the caller with InvalidArgument naming it.
+TEST(RuntimeCallTest, UnknownCallTargetAbortsCallerNamingIt) {
+  auto def = CounterDef(2);
+  SimRuntime rt;
+  ASSERT_TRUE(rt.Bootstrap(def.get(), DeploymentConfig::SharedNothing(2)).ok());
+  ASSERT_TRUE(LoadCounters(&rt, 2).ok());
+  ProcResult ok = rt.Execute("c0", "call_named", {Value("c1"), Value("bump")});
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(1, ok->AsInt64());
+  auto expect_abort_naming = [](const ProcResult& r, const std::string& name) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status();
+    EXPECT_NE(std::string::npos, r.status().message().find(name))
+        << r.status();
+  };
+  expect_abort_naming(
+      rt.Execute("c0", "call_named", {Value("no_such_reactor"), Value("bump")}),
+      "no_such_reactor");
+  expect_abort_naming(
+      rt.Execute("c0", "call_named", {Value("c1"), Value("no_such_proc")}),
+      "no_such_proc");
+  EXPECT_EQ(1, rt.Execute("c1", "get", {})->AsInt64());
 }
 
 TEST(RunDirectTest, CommitAndAbortPaths) {

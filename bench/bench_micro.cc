@@ -5,10 +5,6 @@
 // discrete-event queue. Run in Release mode for meaningful numbers.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include "src/query/query.h"
 #include "src/runtime/reactdb.h"
 #include "src/sim/event_queue.h"
@@ -19,34 +15,6 @@
 #include "src/util/rng.h"
 #include "src/util/wire.h"
 #include "src/util/zipf.h"
-
-// Gated allocation counter: operator new bumps it only while a bench has
-// counting enabled (around its transaction bodies), so the reported
-// allocs_per_txn reflects the transaction path and not the benchmark
-// harness's own bookkeeping.
-static std::atomic<uint64_t> g_heap_allocs{0};
-static std::atomic<bool> g_count_allocs{false};
-
-struct CountAllocsScope {
-  CountAllocsScope() { g_count_allocs.store(true, std::memory_order_relaxed); }
-  ~CountAllocsScope() {
-    g_count_allocs.store(false, std::memory_order_relaxed);
-  }
-};
-
-void* operator new(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace reactdb {
 namespace {
@@ -157,10 +125,8 @@ void BM_SiloReadOnlyTxn(benchmark::State& state) {
   }
   Rng rng(4);
   Arena arena;  // per-executor transaction arena, reset at txn boundaries
-  uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     {
-      CountAllocsScope count;
       SiloTxn txn(&epochs, &arena);
       for (int i = 0; i < 8; ++i) {
         benchmark::DoNotOptimize(
@@ -170,10 +136,6 @@ void BM_SiloReadOnlyTxn(benchmark::State& state) {
     }
     arena.Reset();
   }
-  state.counters["allocs_per_txn"] = benchmark::Counter(
-      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
-                          allocs_before) /
-      static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_SiloReadOnlyTxn);
@@ -198,10 +160,8 @@ void BM_SiloReadWriteTxn(benchmark::State& state) {
   Rng rng(5);
   Arena arena;
   uint64_t iters = 0;
-  uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) {
     {
-      CountAllocsScope count;
       SiloTxn txn(&epochs, &arena);
       for (int i = 0; i < 4; ++i) {
         int64_t id = rng.NextInt(0, 9999);
@@ -216,17 +176,13 @@ void BM_SiloReadWriteTxn(benchmark::State& state) {
     // Periodic epoch ticks recycle replaced rows, as the runtimes do.
     if (++iters % 64 == 0) epochs.Advance();
   }
-  state.counters["allocs_per_txn"] = benchmark::Counter(
-      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
-                          allocs_before) /
-      static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations() * 4);
 }
 BENCHMARK(BM_SiloReadWriteTxn);
 
 /// The fully warmed smallbank-style point transaction: GetInto with a
 /// reused row, update, commit into a recycled install row — the
-/// zero-allocation steady state (allocs_per_txn must read 0.00 here).
+/// zero-allocation steady state (alloc_test asserts 0 allocs/txn for it).
 void BM_SiloPointTxnWarmed(benchmark::State& state) {
   EpochManager epochs;
   Schema schema = SchemaBuilder("savings")
@@ -250,7 +206,6 @@ void BM_SiloPointTxnWarmed(benchmark::State& state) {
   uint64_t txns = 0;
   auto run_one = [&]() {
     {
-      CountAllocsScope count;
       SiloTxn txn(&epochs, &arena);
       (void)txn.GetInto(&table, key, &row, 0);
       updated = row;
@@ -258,33 +213,25 @@ void BM_SiloPointTxnWarmed(benchmark::State& state) {
       (void)txn.Update(&table, key, updated, 0);
       benchmark::DoNotOptimize(txn.Commit(&tids));
     }
-    {
-      CountAllocsScope count;
-      arena.Reset();
-      // Periodic ticks (as FinalizeRoot does) recycle retired rows without
-      // burning the 22-bit epoch field.
-      if (++txns % 64 == 0) {
-        epochs.Advance();
-        epochs.Advance();
-      }
+    arena.Reset();
+    // Periodic ticks (as FinalizeRoot does) recycle retired rows without
+    // burning the 22-bit epoch field.
+    if (++txns % 64 == 0) {
+      epochs.Advance();
+      epochs.Advance();
     }
   };
   for (int i = 0; i < 512; ++i) run_one();  // warm pools and arena blocks
-  uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) run_one();
-  state.counters["allocs_per_txn"] = benchmark::Counter(
-      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
-                          allocs_before) /
-      static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SiloPointTxnWarmed);
 
 // Same warmed point transaction with redo logging enabled (the durability
 // subsystem's commit-time record capture + shard append + periodic writer
-// collection): the allocs_per_txn counter must stay 0 — arena-backed key
-// capture, reserved shard buffers, and swap-based collection keep the log
-// off the allocator. This is the PR-5 CI gate next to the unlogged one.
+// collection). Arena-backed key capture, reserved shard buffers, and
+// swap-based collection keep the log off the allocator: alloc_test asserts
+// 0 allocs/txn for it too.
 void BM_SiloPointTxnWarmedLogged(benchmark::State& state) {
   EpochManager epochs;
   Schema schema = SchemaBuilder("savings")
@@ -311,7 +258,6 @@ void BM_SiloPointTxnWarmedLogged(benchmark::State& state) {
   uint64_t txns = 0;
   auto run_one = [&]() {
     {
-      CountAllocsScope count;
       SiloTxn txn(&epochs, &arena);
       txn.BindLog(&shard);
       (void)txn.GetInto(&table, key, &row, 0);
@@ -320,26 +266,18 @@ void BM_SiloPointTxnWarmedLogged(benchmark::State& state) {
       (void)txn.Update(&table, key, updated, 0);
       benchmark::DoNotOptimize(txn.Commit(&tids));
     }
-    {
-      CountAllocsScope count;
-      arena.Reset();
-      if (++txns % 64 == 0) {
-        epochs.Advance();
-        epochs.Advance();
-        // Group-commit collection cadence: swap the shard against a warm
-        // spare, exactly as the per-container LogWriter does.
-        collect_spare.clear();
-        shard.Collect(&collect_spare);
-      }
+    arena.Reset();
+    if (++txns % 64 == 0) {
+      epochs.Advance();
+      epochs.Advance();
+      // Group-commit collection cadence: swap the shard against a warm
+      // spare, exactly as the per-container LogWriter does.
+      collect_spare.clear();
+      shard.Collect(&collect_spare);
     }
   };
   for (int i = 0; i < 512; ++i) run_one();  // warm pools, arena, shard
-  uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) run_one();
-  state.counters["allocs_per_txn"] = benchmark::Counter(
-      static_cast<double>(g_heap_allocs.load(std::memory_order_relaxed) -
-                          allocs_before) /
-      static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SiloPointTxnWarmedLogged);

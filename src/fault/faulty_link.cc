@@ -7,16 +7,14 @@ namespace reactdb {
 namespace fault {
 
 using transport::Envelope;
-using transport::MessageKind;
 
 void FaultyLink::Send(uint32_t dst_container, std::vector<Envelope> batch) {
-  // Duplicates first: eligible envelopes (kinds whose wire image carries a
-  // unique root/call id the receiver can dedup on) are copied into a
-  // trailing batch that takes the *undisturbed* path, so whichever copy
-  // the other faults delay arrives second and is dropped by dedup.
+  // Duplicates first: every wire image carries a unique root/call id the
+  // receiver dedups on, so copies go into a trailing batch that takes the
+  // *undisturbed* path, and whichever copy the other faults delay arrives
+  // second and is dropped by dedup.
   std::vector<Envelope> dups;
   for (const Envelope& e : batch) {
-    if (e.kind == MessageKind::kCommitVote) continue;
     if (injector_->ShouldFire("link.dup")) dups.push_back(e);
   }
 

@@ -34,25 +34,16 @@ struct PendingCall {
 /// ctx of a CallResponse: the caller-side future to fulfill.
 using PendingReply = std::shared_ptr<FutureState>;
 
-/// Wire identity of a dedupable message: root ids are unique across roots
-/// and call ids across calls, so (kind tag | id) is exact — no hashing
-/// ambiguity. CommitVote is not dedupable (it is idempotent telemetry).
-bool EnvelopeWireKey(transport::MessageKind kind, const transport::Message& m,
-                     uint64_t* key) {
-  switch (kind) {
-    case transport::MessageKind::kSubmit:
-      *key = (std::get<transport::SubmitRequest>(m).root_id << 2) | 0;
-      return true;
-    case transport::MessageKind::kCall:
-      *key = (std::get<transport::CallRequest>(m).call_id << 2) | 1;
-      return true;
-    case transport::MessageKind::kResponse:
-      *key = (std::get<transport::CallResponse>(m).call_id << 2) | 2;
-      return true;
-    case transport::MessageKind::kCommitVote:
-      return false;
+/// Wire identity of a message: root ids are unique across roots and call
+/// ids across calls, so (kind tag | id) is exact — no hashing ambiguity.
+uint64_t EnvelopeWireKey(const transport::Message& m) {
+  if (const auto* s = std::get_if<transport::SubmitRequest>(&m)) {
+    return (s->root_id << 2) | 0;
   }
-  return false;
+  if (const auto* c = std::get_if<transport::CallRequest>(&m)) {
+    return (c->call_id << 2) | 1;
+  }
+  return (std::get<transport::CallResponse>(m).call_id << 2) | 2;
 }
 
 }  // namespace
@@ -424,8 +415,7 @@ void RuntimeBase::CollectRuntimeSamples(
   const transport::TransportStats& t = transport_->stats();
   for (transport::MessageKind kind :
        {transport::MessageKind::kSubmit, transport::MessageKind::kCall,
-        transport::MessageKind::kResponse,
-        transport::MessageKind::kCommitVote}) {
+        transport::MessageKind::kResponse}) {
     std::string name(transport::MessageKindName(kind));
     counter("reactdb_transport_sent_total", "Messages posted, by kind",
             static_cast<double>(t.sent_of(kind)), {{"kind", name}});
@@ -613,10 +603,9 @@ void RuntimeBase::DrainInbox(uint32_t container) {
       // copies share their in-process ctx). Dedup on the wire identity
       // before ctx is ever touched, so the second copy — whose ctx the
       // first delivery consumed — is dropped harmlessly.
-      uint64_t key = 0;
-      if (EnvelopeWireKey(e.kind, *decoded, &key)) {
-        std::lock_guard<std::mutex> lock(dedup_mu_);
-        if (!delivered_wire_keys_.insert(key).second) return;
+      std::lock_guard<std::mutex> lock(dedup_mu_);
+      if (!delivered_wire_keys_.insert(EnvelopeWireKey(*decoded)).second) {
+        return;
       }
     }
     switch (e.kind) {
@@ -661,10 +650,6 @@ void RuntimeBase::DrainInbox(uint32_t container) {
         delete reply;
         break;
       }
-      case transport::MessageKind::kCommitVote:
-        // Decision record of a multi-container commit; participants need no
-        // action under centralized OCC — counted by the transport stats.
-        break;
     }
   });
 }
@@ -679,10 +664,11 @@ void RuntimeBase::DiscardInflightTransport() {
       if (fault_injector_ != nullptr && e.ctx != nullptr) {
         StatusOr<transport::Message> decoded =
             transport::DecodeMessage(e.wire);
-        uint64_t key = 0;
-        if (decoded.ok() && EnvelopeWireKey(e.kind, *decoded, &key)) {
+        if (decoded.ok()) {
           std::lock_guard<std::mutex> lock(dedup_mu_);
-          if (delivered_wire_keys_.count(key) != 0) return;
+          if (delivered_wire_keys_.count(EnvelopeWireKey(*decoded)) != 0) {
+            return;
+          }
         }
         if (!freed.insert(e.ctx).second) return;
       }
@@ -706,8 +692,6 @@ void RuntimeBase::DiscardInflightTransport() {
         }
         case transport::MessageKind::kResponse:
           delete static_cast<PendingReply*>(e.ctx);
-          break;
-        case transport::MessageKind::kCommitVote:
           break;
       }
     });
@@ -992,29 +976,10 @@ Future RuntimeBase::Call(TxnFrame* caller, ReactorId reactor, ProcId proc,
   caller->pending.fetch_add(1, std::memory_order_acq_rel);
   Future f = frame->completion;  // frame may complete (and die) immediately
 
-  if (target->container_id() == caller->reactor->container_id()) {
-    // Same container: execute synchronously within the caller's transaction
-    // executor — no migration of control (Section 3.2.1).
-    frame->executor = caller->executor;
-    if (!target->active_set().TryEnter(root->id, frame->subtxn_id)) {
-      Status s = Status::SafetyAbort(
-          "concurrent sub-transactions of txn " + std::to_string(root->id) +
-          " on reactor " + target->name());
-      root->MarkAbort(s);
-      frame->completion.state()->Fulfill(s);
-      OnFramePartDone(frame);
-      return f;
-    }
-    frame->in_active_set = true;
-    StartFrameCoroutine(frame, fn, std::move(args));
-    return f;
-  }
-
-  // Cross-container: dispatch through the transport to the target reactor's
-  // home executor. The active-set entry is made at invocation time — the
-  // paper's active set holds sub-transactions that "have been invoked, but
-  // have not completed" — so two in-flight calls of one root to the same
-  // reactor are caught even if the first finishes quickly.
+  // The active-set entry is made at invocation time — the paper's active
+  // set holds sub-transactions that "have been invoked, but have not
+  // completed" — so two in-flight calls of one root to the same reactor
+  // are caught even if the first finishes quickly.
   if (!target->active_set().TryEnter(root->id, frame->subtxn_id)) {
     Status s = Status::SafetyAbort(
         "concurrent sub-transactions of txn " + std::to_string(root->id) +
@@ -1025,6 +990,17 @@ Future RuntimeBase::Call(TxnFrame* caller, ReactorId reactor, ProcId proc,
     return f;
   }
   frame->in_active_set = true;
+
+  if (target->container_id() == caller->reactor->container_id()) {
+    // Same container: execute synchronously within the caller's transaction
+    // executor — no migration of control (Section 3.2.1).
+    frame->executor = caller->executor;
+    StartFrameCoroutine(frame, fn, std::move(args));
+    return f;
+  }
+
+  // Cross-container: dispatch through the transport to the target reactor's
+  // home executor.
   frame->executor = target->home_executor();
   frame->remote = true;
   root->live_remote_children.fetch_add(1, std::memory_order_acq_rel);
@@ -1101,7 +1077,6 @@ void RuntimeBase::OnProcBodyFinished(TxnFrame* frame) {
     e.dst_container = frame->reply_to_container;
     e.wire = transport::EncodeMessage(msg);
     e.ctx = new PendingReply(std::move(frame->reply_state));
-    e.deliver_inline = true;
     PostEnvelope(frame->executor, std::move(e));
   }
   frame->completion.state()->Fulfill(std::move(result));
@@ -1216,28 +1191,6 @@ void RuntimeBase::FinalizeRoot(TxnFrame* root_frame) {
     tracer_->Finish(root->trace, executor, committed,
                     committed ? TidWord::Epoch(root->commit_tid) : 0, end_us);
     root->trace = nullptr;
-  }
-  if (EmitCommitVotes()) {
-    // Multi-container transaction: broadcast the decision record each
-    // participant would receive from distributed 2PC (commit is still the
-    // centralized Silo validation — participants take no action yet).
-    const ContainerSet& touched = root->txn.containers_touched();
-    uint32_t home_container = executors_[executor]->container;
-    if (touched.size() > 1) {
-      for (uint32_t participant : touched) {
-        if (participant == home_container) continue;
-        transport::CommitVote vote;
-        vote.root_id = root->id;
-        vote.container = participant;
-        vote.commit = committed;
-        transport::Envelope e;
-        e.kind = transport::MessageKind::kCommitVote;
-        e.dst_container = participant;
-        e.wire = transport::EncodeMessage(vote);
-        e.deliver_inline = true;
-        PostEnvelope(executor, std::move(e));
-      }
-    }
   }
   auto done = std::move(root->on_done);
   delete root_frame;

@@ -395,11 +395,6 @@ class RuntimeBase : public CallBridge {
   virtual void SampleExecutors(
       std::vector<obs::ExecutorHealthSample>* out) const;
 
-  /// Whether FinalizeRoot broadcasts CommitVote messages to the other
-  /// participant containers of a multi-container transaction (the decision
-  /// record distributed 2PC would ship; delivered as telemetry today).
-  virtual bool EmitCommitVotes() const { return false; }
-
   /// Decodes and dispatches every queued envelope of `container`. Must run
   /// on the container's drain context (single consumer per mailbox).
   void DrainInbox(uint32_t container);

@@ -226,12 +226,6 @@ std::unique_ptr<transport::Link> SimRuntime::MakeLink() {
 
 void SimRuntime::PostEnvelope(uint32_t src_lane, transport::Envelope e) {
   (void)src_lane;
-  // Responses (and votes) are safe to deliver inside the sending segment:
-  // fulfillment re-enters the event queue through the segment-aware resume
-  // path. Requests and submits must arrive as link events so the target
-  // cannot dispatch earlier than the send point.
-  e.deliver_inline = e.kind == transport::MessageKind::kResponse ||
-                     e.kind == transport::MessageKind::kCommitVote;
   transport_->PostNow(std::move(e));
 }
 

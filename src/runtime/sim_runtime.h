@@ -95,9 +95,9 @@ class SimRuntime : public RuntimeBase {
   // link costs add no virtual time:
   //  * requests/submits are delivered by a link event at the segment-aware
   //    send time and drained straight into the executor lanes;
-  //  * responses are marked deliver_inline: fulfilled at the send point
-  //    inside the callee's segment, so the caller's resume is scheduled at
-  //    that same virtual time (and pays Cr).
+  //  * responses are fulfilled at the send point inside the callee's
+  //    segment (SimLink::Send delivers them inline), so the caller's resume
+  //    is scheduled at that same virtual time (and pays Cr).
   std::unique_ptr<transport::Link> MakeLink() override;
   void PostEnvelope(uint32_t src_lane, transport::Envelope e) override;
   void OnInboxReady(uint32_t container) override { DrainInbox(container); }

@@ -120,8 +120,8 @@ void ThreadRuntime::ExecutorLoop(ThreadExecutor* exec) {
     transport_->Flush(exec->id);
   }
   // Nothing may linger in a lane batch past executor death (its in-process
-  // ctx state would leak); Stop drained every root already, so anything
-  // left is response/vote traffic whose envelopes teardown reclaims.
+  // ctx state would leak); Stop drained every root already, so teardown
+  // reclaims whatever envelopes are left.
   transport_->Flush(exec->id);
   internal::SetCurrentResumeHook(nullptr);
 }

@@ -66,9 +66,6 @@ class ThreadRuntime : public RuntimeBase {
   void PostRoot(uint32_t executor, std::function<void()> task) override;
   void OnRootRetired(uint32_t executor) override;
   void CreateExecutors() override;
-  /// Real threads pay real cross-container traffic: broadcast the commit
-  /// decision records of multi-container transactions.
-  bool EmitCommitVotes() const override { return true; }
   /// has_work = queued work an executor should be making progress on
   /// (ready lane non-empty, or an admissible root under the MPL);
   /// heartbeats advance once per ExecutorLoop iteration.

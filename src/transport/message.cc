@@ -11,8 +11,6 @@ std::string_view MessageKindName(MessageKind kind) {
       return "CALL";
     case MessageKind::kResponse:
       return "RESPONSE";
-    case MessageKind::kCommitVote:
-      return "COMMIT_VOTE";
   }
   return "UNKNOWN";
 }
@@ -100,21 +98,6 @@ StatusOr<CallResponse> CallResponse::DecodeFrom(wire::Reader* r) {
   return m;
 }
 
-void CommitVote::EncodeTo(wire::Writer* w) const {
-  w->PutU64(root_id);
-  w->PutU32(container);
-  w->PutU8(commit ? 1 : 0);
-}
-
-StatusOr<CommitVote> CommitVote::DecodeFrom(wire::Reader* r) {
-  CommitVote m;
-  REACTDB_ASSIGN_OR_RETURN(m.root_id, r->ReadU64());
-  REACTDB_ASSIGN_OR_RETURN(m.container, r->ReadU32());
-  REACTDB_ASSIGN_OR_RETURN(uint8_t commit, r->ReadU8());
-  m.commit = commit != 0;
-  return m;
-}
-
 std::string EncodeMessage(const Message& m) {
   std::string out;
   wire::Writer w(&out);
@@ -125,10 +108,8 @@ std::string EncodeMessage(const Message& m) {
           w.PutU8(static_cast<uint8_t>(MessageKind::kSubmit));
         } else if constexpr (std::is_same_v<T, CallRequest>) {
           w.PutU8(static_cast<uint8_t>(MessageKind::kCall));
-        } else if constexpr (std::is_same_v<T, CallResponse>) {
-          w.PutU8(static_cast<uint8_t>(MessageKind::kResponse));
         } else {
-          w.PutU8(static_cast<uint8_t>(MessageKind::kCommitVote));
+          w.PutU8(static_cast<uint8_t>(MessageKind::kResponse));
         }
         msg.EncodeTo(&w);
       },
@@ -151,10 +132,6 @@ StatusOr<Message> DecodeMessage(std::string_view data) {
     }
     case MessageKind::kResponse: {
       REACTDB_ASSIGN_OR_RETURN(m, CallResponse::DecodeFrom(&r));
-      break;
-    }
-    case MessageKind::kCommitVote: {
-      REACTDB_ASSIGN_OR_RETURN(m, CommitVote::DecodeFrom(&r));
       break;
     }
     default:

@@ -1,6 +1,6 @@
 // Typed messages of the inter-container transport.
 //
-// Everything that crosses a container boundary is one of four message
+// Everything that crosses a container boundary is one of three message
 // types, addressed by the dense handles interned at bootstrap (see
 // src/reactor/symbol.h — handles are stable for the lifetime of the
 // deployment, so they are valid wire identifiers):
@@ -9,10 +9,6 @@
 //   CallRequest    container -> container: invoke a sub-transaction
 //                  (the paper's asynchronous cross-reactor call)
 //   CallResponse   container -> container: result of a CallRequest
-//   CommitVote     container -> container: per-participant commit/abort
-//                  acknowledgment of a multi-container transaction (the
-//                  2PC vote of the future distributed commit; in-process
-//                  runtimes emit it as telemetry)
 //
 // Each message serializes to bytes through src/util/wire.h — argument rows
 // and results travel as encoded Values, never as live pointers. An Envelope
@@ -41,7 +37,6 @@ enum class MessageKind : uint8_t {
   kSubmit = 1,
   kCall = 2,
   kResponse = 3,
-  kCommitVote = 4,
 };
 
 std::string_view MessageKindName(MessageKind kind);
@@ -97,19 +92,7 @@ struct CallResponse {
   static StatusOr<CallResponse> DecodeFrom(wire::Reader* r);
 };
 
-/// Container -> container: participant `container`'s vote on root
-/// `root_id` (2PC prepare outcome).
-struct CommitVote {
-  uint64_t root_id = 0;
-  uint32_t container = 0;
-  bool commit = true;
-
-  void EncodeTo(wire::Writer* w) const;
-  static StatusOr<CommitVote> DecodeFrom(wire::Reader* r);
-};
-
-using Message =
-    std::variant<SubmitRequest, CallRequest, CallResponse, CommitVote>;
+using Message = std::variant<SubmitRequest, CallRequest, CallResponse>;
 
 /// Encodes kind byte + payload into a fresh buffer (the full wire image a
 /// network link would transfer).
@@ -130,13 +113,8 @@ struct Envelope {
   uint32_t dst_executor = 0;
   /// Encoded message (EncodeMessage output).
   std::string wire;
-  /// In-process continuation state (owned; see file comment). Null for
-  /// messages that need none (CommitVote).
+  /// In-process continuation state (owned; see file comment).
   void* ctx = nullptr;
-  /// Sim-link hint: true when the receiving-side dispatch is safe to run
-  /// synchronously inside the sending segment (responses/votes; see
-  /// SimRuntime::PostEnvelope for the timing argument).
-  bool deliver_inline = false;
 };
 
 }  // namespace transport

@@ -10,7 +10,7 @@ namespace transport {
 void LoopbackLink::Send(uint32_t dst_container, std::vector<Envelope> batch) {
   // Backpressure policy: only SubmitRequests (sent by client threads) may
   // block on a full inbox — that throttles admission at the boundary where
-  // it belongs. In-flight transaction traffic (calls/responses/votes) is
+  // it belongs. In-flight transaction traffic (calls/responses) is
   // sent by executors, and an executor is also the only thread that drains
   // its own container's inbox: letting it block on a peer's full inbox can
   // deadlock two containers pushing at each other. Those messages are
@@ -26,13 +26,17 @@ void SimLink::Send(uint32_t dst_container, std::vector<Envelope> batch) {
   bool inline_ok = true;
   for (const Envelope& e : batch) {
     bytes += e.wire.size();
-    inline_ok = inline_ok && e.deliver_inline;
+    inline_ok = inline_ok && e.kind == MessageKind::kResponse;
   }
   double delay = params_.BatchDelayUs(batch.size(), bytes);
   if (delay <= 0 && inline_ok) {
-    // Zero-cost link and the runtime marked every message safe to dispatch
-    // from the sending context: deliver synchronously. This is what keeps
-    // the simulated event trace identical to the pre-transport direct-call
+    // Zero-cost link and only responses: deliver synchronously. A response
+    // is safe to dispatch inside the sending segment — fulfillment
+    // re-enters the event queue through the segment-aware resume path, so
+    // the caller's resume is scheduled at the send time (and pays Cr).
+    // Requests and submits must arrive as link events so the target cannot
+    // dispatch earlier than the send point. This is what keeps the
+    // simulated event trace identical to the pre-transport direct-call
     // path when link costs are off.
     transport_->DeliverBatch(dst_container, std::move(batch),
                              /*blocking=*/false);

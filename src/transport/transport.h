@@ -35,8 +35,8 @@ namespace transport {
 /// Monotonic counters over the transport's lifetime. Indexed accessors take
 /// a MessageKind; loads are relaxed (telemetry, not synchronization).
 struct TransportStats {
-  std::atomic<uint64_t> sent[5] = {};       // by MessageKind
-  std::atomic<uint64_t> delivered[5] = {};  // by MessageKind
+  std::atomic<uint64_t> sent[4] = {};       // by MessageKind (1..3)
+  std::atomic<uint64_t> delivered[4] = {};  // by MessageKind (1..3)
   std::atomic<uint64_t> batches{0};
   std::atomic<uint64_t> wire_bytes{0};
   std::atomic<uint64_t> max_batch{0};

@@ -242,6 +242,16 @@ Status SiloTxn::InsertEntry(BTree* tree, std::string_view key, const Row& src,
         DigestRead(log_table, log_key->view(), result.record, snap.tid);
       }
       if (snap.row != nullptr) {
+        // A committed row holds the key. If anything this txn read has
+        // changed since, the collision may stem from that stale read (two
+        // TPC-C new-orders drawing the same d_next_o_id): Commit would fail
+        // validation anyway, so surface the retriable CC abort.
+        for (const ReadEntry& entry : read_set_) {
+          uint64_t cur = entry.rec->tid.load(std::memory_order_acquire);
+          if (TidWord::Tid(cur) != TidWord::Tid(entry.tid)) {
+            return Status::Aborted("duplicate key after a stale read");
+          }
+        }
         return Status::AlreadyExists("duplicate key");
       }
     }

@@ -171,7 +171,7 @@ class PtrIndex {
 
 /// Small sorted set of container ids touched by a transaction. Arena-backed;
 /// iteration is ascending (matching the std::set it replaces, so 2PC cost
-/// accounting and commit-vote broadcast order are unchanged).
+/// accounting order is unchanged).
 class ContainerSet {
  public:
   bool insert(Arena* arena, uint32_t c) {

@@ -22,21 +22,22 @@ namespace {
 using transport::Envelope;
 using transport::MessageKind;
 
-Envelope VoteEnvelope(uint32_t dst, uint64_t root_id) {
-  transport::CommitVote vote;
-  vote.root_id = root_id;
-  vote.container = dst;
+/// A CallResponse envelope with a null ctx: enough for the transport layer,
+/// which never touches the continuation.
+Envelope ResponseEnvelope(uint32_t dst, uint64_t root_id) {
+  transport::CallResponse resp;
+  resp.root_id = root_id;
   Envelope e;
-  e.kind = MessageKind::kCommitVote;
+  e.kind = MessageKind::kResponse;
   e.dst_container = dst;
-  e.wire = transport::EncodeMessage(vote);
+  e.wire = transport::EncodeMessage(resp);
   return e;
 }
 
 uint64_t RootIdOf(const Envelope& e) {
   StatusOr<transport::Message> m = transport::DecodeMessage(e.wire);
   REACTDB_CHECK(m.ok());
-  return std::get<transport::CommitVote>(*m).root_id;
+  return std::get<transport::CallResponse>(*m).root_id;
 }
 
 // --- Wire round-trips --------------------------------------------------------
@@ -101,7 +102,7 @@ TEST(WireRoundTrip, DeadlineSurvivesSubmitAndCallEncoding) {
 TEST(Mailbox, PreservesFifoOrder) {
   transport::Mailbox box(16);
   for (uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(box.TryPush(VoteEnvelope(0, i)));
+    ASSERT_TRUE(box.TryPush(ResponseEnvelope(0, i)));
   }
   Envelope e;
   for (uint64_t i = 0; i < 10; ++i) {
@@ -116,24 +117,24 @@ TEST(Mailbox, PreservesFifoOrder) {
 TEST(Mailbox, TryPushRejectsWhenFull) {
   transport::Mailbox box(3);
   for (uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(box.TryPush(VoteEnvelope(0, i)));
+    ASSERT_TRUE(box.TryPush(ResponseEnvelope(0, i)));
   }
-  EXPECT_FALSE(box.TryPush(VoteEnvelope(0, 99)));
+  EXPECT_FALSE(box.TryPush(ResponseEnvelope(0, 99)));
   EXPECT_EQ(1u, box.rejected());
   // Draining frees capacity again.
   Envelope e;
   ASSERT_TRUE(box.TryPop(&e));
-  EXPECT_TRUE(box.TryPush(VoteEnvelope(0, 3)));
+  EXPECT_TRUE(box.TryPush(ResponseEnvelope(0, 3)));
   EXPECT_EQ(3u, box.size());
 }
 
 TEST(Mailbox, PushBlocksUntilConsumerDrains) {
   transport::Mailbox box(2);
-  box.Push(VoteEnvelope(0, 0));
-  box.Push(VoteEnvelope(0, 1));
+  box.Push(ResponseEnvelope(0, 0));
+  box.Push(ResponseEnvelope(0, 1));
   std::atomic<bool> unblocked{false};
   std::thread producer([&box, &unblocked] {
-    box.Push(VoteEnvelope(0, 2));  // over capacity: must wait for a pop
+    box.Push(ResponseEnvelope(0, 2));  // over capacity: must wait for a pop
     unblocked.store(true);
   });
   // The producer must be parked while the mailbox is full.
@@ -149,8 +150,8 @@ TEST(Mailbox, PushBlocksUntilConsumerDrains) {
 
 TEST(Mailbox, ForcePushOverflowsButCounts) {
   transport::Mailbox box(1);
-  box.ForcePush(VoteEnvelope(0, 0));
-  box.ForcePush(VoteEnvelope(0, 1));
+  box.ForcePush(ResponseEnvelope(0, 0));
+  box.ForcePush(ResponseEnvelope(0, 1));
   EXPECT_EQ(2u, box.size());
   EXPECT_EQ(1u, box.overflowed());
 }
@@ -179,14 +180,14 @@ TEST(TransportBatching, FlushesOnBoundaryAndAtCap) {
   t.set_link(std::move(link));
 
   // Three messages stay buffered until the scheduling boundary...
-  for (uint64_t i = 0; i < 3; ++i) t.Post(0, VoteEnvelope(1, i));
+  for (uint64_t i = 0; i < 3; ++i) t.Post(0, ResponseEnvelope(1, i));
   EXPECT_TRUE(rec->batch_sizes.empty());
   t.Flush(0);
   ASSERT_EQ(1u, rec->batch_sizes.size());
   EXPECT_EQ(3u, rec->batch_sizes[0]);
 
   // ...six more hit the cap once (batch of 4), remainder leaves on flush.
-  for (uint64_t i = 0; i < 6; ++i) t.Post(0, VoteEnvelope(1, i));
+  for (uint64_t i = 0; i < 6; ++i) t.Post(0, ResponseEnvelope(1, i));
   ASSERT_EQ(2u, rec->batch_sizes.size());
   EXPECT_EQ(4u, rec->batch_sizes[1]);
   t.Flush(0);
@@ -198,7 +199,7 @@ TEST(TransportBatching, FlushesOnBoundaryAndAtCap) {
   EXPECT_EQ(3u, rec->batch_sizes.size());
 
   // Stats reflect the traffic; FIFO survives batching.
-  EXPECT_EQ(9u, t.stats().sent_of(MessageKind::kCommitVote));
+  EXPECT_EQ(9u, t.stats().sent_of(MessageKind::kResponse));
   EXPECT_EQ(4u, t.stats().max_batch.load());
   uint64_t expect = 0;
   size_t drained = t.Drain(1, [&expect](Envelope&& e) {
@@ -208,7 +209,7 @@ TEST(TransportBatching, FlushesOnBoundaryAndAtCap) {
     ++expect;
   });
   EXPECT_EQ(9u, drained);
-  EXPECT_EQ(9u, t.stats().delivered_of(MessageKind::kCommitVote));
+  EXPECT_EQ(9u, t.stats().delivered_of(MessageKind::kResponse));
 }
 
 TEST(SimLinkFifo, SmallTransferCannotOvertakeLarge) {
@@ -344,10 +345,6 @@ TEST(ThreadTransport, CrossContainerCallsRouteThroughMailbox) {
   EXPECT_EQ(static_cast<uint64_t>(kTxns), stats.sent_of(MessageKind::kCall));
   EXPECT_EQ(static_cast<uint64_t>(kTxns),
             stats.sent_of(MessageKind::kResponse));
-  // Each committed multi-container transaction broadcast its decision to
-  // the one other participant.
-  EXPECT_EQ(static_cast<uint64_t>(kTxns),
-            stats.sent_of(MessageKind::kCommitVote));
 
   // The remote bumps all landed despite every hop being message-borne.
   ProcResult v = rt.Execute("c1", "get", {});
@@ -355,18 +352,58 @@ TEST(ThreadTransport, CrossContainerCallsRouteThroughMailbox) {
   EXPECT_EQ(kTxns, v.value().AsInt64());
 
   rt.Stop();
-  // Every message a completed transaction depends on was delivered: the
-  // roots ran (submits), the calls executed and their awaited responses
-  // came back. Votes are fire-and-forget telemetry — the last one may
-  // still be in flight when the executors stop.
+  // Every message kind is one a completed transaction waits on (the roots
+  // ran, the calls executed, their awaited responses came back), so once
+  // Stop returns nothing is left in flight.
+  for (MessageKind kind :
+       {MessageKind::kSubmit, MessageKind::kCall, MessageKind::kResponse}) {
+    EXPECT_EQ(stats.sent_of(kind), stats.delivered_of(kind))
+        << transport::MessageKindName(kind);
+  }
   EXPECT_EQ(static_cast<uint64_t>(kTxns) + 1,
             stats.delivered_of(MessageKind::kSubmit));
-  EXPECT_EQ(static_cast<uint64_t>(kTxns),
-            stats.delivered_of(MessageKind::kCall));
-  EXPECT_EQ(static_cast<uint64_t>(kTxns),
-            stats.delivered_of(MessageKind::kResponse));
-  EXPECT_GE(stats.delivered_of(MessageKind::kCommitVote),
-            static_cast<uint64_t>(kTxns) - 1);
+}
+
+/// Per-kind sent counts (indexed by MessageKind value) plus the total, after
+/// `kTxns` fan_outs from c0 to c1 (same container) and c2, c3 (the other
+/// container) — each a two-container commit with two remote calls.
+std::vector<uint64_t> FanOutTraffic(RuntimeBase* rt) {
+  constexpr int kTxns = 20;
+  for (int i = 0; i < kTxns; ++i) {
+    ProcResult r =
+        rt->Execute("c0", "fan_out", {Value("c1"), Value("c2"), Value("c3")});
+    REACTDB_CHECK(r.ok());
+  }
+  const transport::TransportStats& stats = rt->transport()->stats();
+  return {stats.sent_of(MessageKind::kSubmit), stats.sent_of(MessageKind::kCall),
+          stats.sent_of(MessageKind::kResponse), stats.total_sent()};
+}
+
+// The deployment decides where reactors are placed, never which messages a
+// transaction sends: both runtimes post exactly the same traffic for the
+// same workload.
+TEST(TransportParity, SimAndThreadRuntimesSendTheSameMessages) {
+  // c0,c1 -> container 0; c2,c3 -> container 1
+  auto sim_def = CounterDef(4);
+  SimRuntime sim{CostParams{}};
+  ASSERT_TRUE(
+      sim.Bootstrap(sim_def.get(), DeploymentConfig::SharedNothing(2)).ok());
+  ASSERT_TRUE(LoadCounters(&sim, 4).ok());
+  std::vector<uint64_t> sim_sent = FanOutTraffic(&sim);
+
+  auto thread_def = CounterDef(4);
+  ThreadRuntime threads;
+  ASSERT_TRUE(
+      threads.Bootstrap(thread_def.get(), DeploymentConfig::SharedNothing(2))
+          .ok());
+  ASSERT_TRUE(LoadCounters(&threads, 4).ok());
+  ASSERT_TRUE(threads.Start().ok());
+  std::vector<uint64_t> thread_sent = FanOutTraffic(&threads);
+  threads.Stop();
+
+  // 20 submits, 2 calls and 2 responses each, and nothing else.
+  EXPECT_EQ((std::vector<uint64_t>{20, 40, 40, 100}), sim_sent);
+  EXPECT_EQ(sim_sent, thread_sent);
 }
 
 // Batching: one task fanning out to many reactors of one destination

@@ -105,6 +105,35 @@ TEST_F(SiloTxnTest, DuplicateInsertRejected) {
   txn.Abort();
 }
 
+// An insert that collides only because the txn read a counter that has
+// since moved (two TPC-C new-orders drawing the same d_next_o_id) is a
+// retriable CC abort, not a client-visible duplicate: no serial order
+// produces kAlreadyExists there. With all reads fresh the duplicate is real.
+TEST_F(SiloTxnTest, InsertCollisionAfterStaleReadAborts) {
+  ASSERT_TRUE(Put(1, "counter", 10).ok());
+  const Row counter_key = {Value(int64_t{1})};
+  const Row next_counter = {Value(int64_t{1}), Value("counter"), Value(11.0)};
+  const Row order_row = {Value(int64_t{10}), Value("order"), Value(0.0)};
+
+  SiloTxn t1(&epochs_);
+  ASSERT_TRUE(t1.Get(&table_, counter_key, 0).ok());
+  {
+    SiloTxn t2(&epochs_);
+    ASSERT_TRUE(t2.Get(&table_, counter_key, 0).ok());
+    ASSERT_TRUE(t2.Insert(&table_, order_row, 0).ok());
+    ASSERT_TRUE(t2.Update(&table_, counter_key, next_counter, 0).ok());
+    ASSERT_TRUE(t2.Commit(&tids_).ok());
+  }
+  Status stale = t1.Insert(&table_, order_row, 0);
+  EXPECT_TRUE(stale.IsAborted()) << stale;
+  t1.Abort();
+
+  SiloTxn t3(&epochs_);
+  ASSERT_TRUE(t3.Get(&table_, counter_key, 0).ok());
+  EXPECT_TRUE(t3.Insert(&table_, order_row, 0).IsAlreadyExists());
+  t3.Abort();
+}
+
 TEST_F(SiloTxnTest, DeleteThenReinsert) {
   ASSERT_TRUE(Put(1, "alice", 100).ok());
   {

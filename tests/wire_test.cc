@@ -168,26 +168,17 @@ TEST(WireMessage, CallResponseCarriesResultsAndErrors) {
   EXPECT_EQ("insufficient funds", round.status().message());
 }
 
-TEST(WireMessage, CommitVoteRoundTrips) {
-  transport::CommitVote m;
-  m.root_id = 11;
-  m.container = 3;
-  m.commit = false;
-  StatusOr<transport::Message> decoded =
-      transport::DecodeMessage(transport::EncodeMessage(m));
-  ASSERT_TRUE(decoded.ok());
-  auto& out = std::get<transport::CommitVote>(*decoded);
-  EXPECT_EQ(11u, out.root_id);
-  EXPECT_EQ(3u, out.container);
-  EXPECT_FALSE(out.commit);
-}
-
 TEST(WireMessage, RejectsGarbage) {
   EXPECT_FALSE(transport::DecodeMessage("").ok());
   EXPECT_FALSE(transport::DecodeMessage("\x09garbage").ok());
-  std::string valid = transport::EncodeMessage(transport::CommitVote{});
+  std::string valid = transport::EncodeMessage(transport::CallResponse{});
+  ASSERT_TRUE(transport::DecodeMessage(valid).ok());
   EXPECT_FALSE(transport::DecodeMessage(valid.substr(0, 5)).ok());
   EXPECT_FALSE(transport::DecodeMessage(valid + "\x01").ok());
+  // Tag 4 is past the last message kind (kResponse = 3): unknown.
+  std::string tag4 = valid;
+  tag4[0] = '\x04';
+  EXPECT_FALSE(transport::DecodeMessage(tag4).ok());
 }
 
 // The key codec (ordered encoding) converts int64 keys through double; the

@@ -1,5 +1,6 @@
 // Overhead bench: the marginal cost of the observability, audit and
-// operational-plane subsystems on the warmed point-transaction path.
+// operational-plane subsystems on the warmed point-transaction path, and
+// the cost and effect of admission control on the thread runtime.
 //
 // Sections:
 //   instr    — the exact per-root recording sequence FinalizeRoot + the
@@ -17,6 +18,16 @@
 //   e2e      — warmed blocking point txns through client::Database on the
 //              thread runtime: as shipped (metrics on), tracing, data_dir,
 //              data_dir + audit, data_dir + monitor (20 ms sample interval).
+//   shed     — the admission fast path: one long root pins occupancy above
+//              a watermark of 1, so every Submit sheds synchronously; each
+//              call is timed in real us (2000 calls, median and p99), on
+//              the simulator (sim_shed_*) and on threads (shed_*).
+//   overload — goodput under offered overload: Spinner txns with a fixed
+//              50 us of compute on one container, so a single client
+//              outruns its executor. Peak is a 16-deep closed loop with
+//              admission off; the 2x/4x rows offer 32/64-deep windows
+//              against a watermark of 20 roots, retry off (sheds are
+//              terminal), num_txns / 20 txns per row.
 //
 // Reported ratios:
 //   metrics_on_ratio = e2e / (e2e - instr): the shipped hot path against
@@ -25,10 +36,15 @@
 //     derived by subtraction — instr is measured, not estimated.
 //   audit_capture_ratio, monitor_on_ratio = on / off of their A/B pair.
 //   trace_on_ratio, e2e_audit_ratio, e2e_monitor_ratio: informational.
+//   overload_retained_2x/4x = goodput at 2x/4x over peak.
 //
 // Gates (checked in CI from the JSON): metrics_on_ratio <= 1.05,
-// audit_capture_ratio <= 1.10, monitor_on_ratio <= 1.03. The matching
-// 0 allocs/txn gates for the same paths live in tests/alloc_test.cc.
+// audit_capture_ratio <= 1.10, monitor_on_ratio <= 1.03, shed_median_us
+// and sim_shed_median_us < 10, overload_retained_2x >= 0.70,
+// overload_retained_4x >= 0.50 and overload_shed_2x > 0. The matching
+// 0 allocs/txn gates for the same paths live in tests/alloc_test.cc; the
+// deterministic simulator overload gates live in tests/fault_test.cc
+// (Overload.*).
 //
 // Usage: bench_overhead [out.json [num_txns]]
 #include <atomic>
@@ -51,6 +67,7 @@
 #include "src/txn/epoch.h"
 #include "src/txn/silo_txn.h"
 #include "src/util/arena.h"
+#include "src/util/histogram.h"
 #include "src/util/logging.h"
 
 namespace reactdb {
@@ -314,6 +331,120 @@ double MeasureEndToEnd(int num_txns, int reps,
   return best;
 }
 
+// --- shed and overload: admission control ----------------------------------
+
+Proc SpinProc(TxnContext& ctx, Row args) {
+  ctx.Compute(args[0].AsNumeric());
+  co_return Value(int64_t{1});
+}
+
+/// Opens `db` with one Spinner reactor, s0, on one container, against the
+/// given outstanding-root shed watermark.
+void OpenSpinner(client::Database& db, ReactorDatabaseDef& def, int watermark,
+                 const client::Database::Options& options) {
+  def.DefineType("Spinner").AddProcedure("spin", &SpinProc);
+  REACTDB_CHECK_OK(def.DeclareReactor("s0", "Spinner"));
+  DeploymentConfig dc = DeploymentConfig::SharedNothing(1);
+  dc.shed_outstanding_roots = watermark;
+  REACTDB_CHECK_OK(db.Open(&def, dc, options));
+}
+
+struct ShedLatency {
+  double median_us = 0;
+  double p99_us = 0;
+};
+
+/// One long root holds occupancy above a watermark of 1; every subsequent
+/// Submit sheds synchronously inside the call, so timing the call times
+/// the admission fast path (counter compare + status construction +
+/// completion callback) in real microseconds.
+ShedLatency MeasureShed(const client::Database::Options& options) {
+  constexpr int kSheds = 2000;
+  ReactorDatabaseDef def;
+  client::Database db;
+  OpenSpinner(db, def, /*watermark=*/1, options);
+  ReactorId s0 = db.ResolveReactor("s0");
+  ProcId spin = db.ResolveProc(s0, "spin");
+
+  client::SessionOptions sopts;
+  sopts.max_outstanding = kSheds + 8;
+  sopts.retry.max_attempts = 1;
+  auto session = db.CreateSession(sopts);
+  // The occupant: 50 ms of compute (virtual or real) keeps outstanding
+  // roots at 1 for the whole measurement.
+  client::SessionFuture occupant =
+      session->Submit(s0, spin, {Value(50000.0)});
+
+  Histogram us;
+  for (int i = 0; i < kSheds; ++i) {
+    double t0 = NowUs();
+    session->Submit(s0, spin, {Value(1.0)});  // delivery is FIFO-deferred
+    us.Add(NowUs() - t0);
+  }
+  session->Drain();
+  REACTDB_CHECK(session->stats().shed == kSheds);
+  REACTDB_CHECK(occupant.Wait().ok());
+  session.reset();
+  db.Shutdown();
+  return {us.Median(), us.Quantile(0.99)};
+}
+
+// Fixed compute per txn: one client submits far faster than one executor
+// retires, so the 2x/4x windows really offer more than capacity.
+constexpr double kSpinUs = 50;
+constexpr size_t kBaseWindow = 16;
+// Above the 1x window (no sheds at nominal load), below 2x of it.
+constexpr int kWatermark = 20;
+
+struct LoadPoint {
+  double goodput_tps = 0;
+  uint64_t shed = 0;
+};
+
+/// Offers `n` Spinner txns through a `window`-deep session against
+/// `watermark` (0 = admission off), after a warm-up stream; goodput counts
+/// only commits, per real second.
+LoadPoint MeasureLoad(int watermark, size_t window, int n) {
+  ReactorDatabaseDef def;
+  client::Database db;
+  OpenSpinner(db, def, watermark, client::Database::Threads());
+  ReactorId s0 = db.ResolveReactor("s0");
+  ProcId spin = db.ResolveProc(s0, "spin");
+  client::SessionOptions sopts;
+  sopts.max_outstanding = window;
+  sopts.retry.max_attempts = 1;
+  auto session = db.CreateSession(sopts);
+
+  auto stream = [&](int count) {
+    LoadPoint p;
+    uint64_t committed = 0;
+    double t0 = NowUs();
+    std::vector<client::SessionFuture> inflight;
+    size_t head = 0;
+    auto consume = [&] {
+      client::TxnOutcome out = inflight[head++].Wait();
+      if (out.ok()) {
+        ++committed;
+      } else {
+        REACTDB_CHECK(out.status().IsOverloaded());
+        ++p.shed;
+      }
+    };
+    for (int i = 0; i < count; ++i) {
+      if (inflight.size() - head >= window) consume();
+      inflight.push_back(session->Submit(s0, spin, {Value(kSpinUs)}));
+    }
+    while (head < inflight.size()) consume();
+    p.goodput_tps = static_cast<double>(committed) / ((NowUs() - t0) * 1e-6);
+    return p;
+  };
+  stream(n / 10 + 1);  // warm
+  LoadPoint p = stream(n);
+  session.reset();
+  db.Shutdown();
+  return p;
+}
+
 void Run(const std::string& out_path, int num_txns) {
   double instr_ns = MeasureInstrSequence(num_txns, 5);
   AB audit;
@@ -351,6 +482,14 @@ void Run(const std::string& out_path, int num_txns) {
   double e2e_audit_ns = MeasureEndToEnd(e2e_txns, kE2eReps, audited);
   double e2e_monitor_ns = MeasureEndToEnd(e2e_txns, kE2eReps, monitored);
 
+  ShedLatency sim_shed = MeasureShed(client::Database::Sim());
+  ShedLatency shed = MeasureShed(client::Database::Threads());
+  const int load_txns = num_txns / 20 + 1;
+  LoadPoint peak = MeasureLoad(/*watermark=*/0, kBaseWindow, load_txns);
+  REACTDB_CHECK(peak.shed == 0);
+  LoadPoint x2 = MeasureLoad(kWatermark, 2 * kBaseWindow, load_txns);
+  LoadPoint x4 = MeasureLoad(kWatermark, 4 * kBaseWindow, load_txns);
+
   const std::vector<std::pair<const char*, double>> rows = {
       {"instr_ns_per_txn", instr_ns},
       {"metrics_off_ns_per_txn", e2e_ns - instr_ns},
@@ -369,6 +508,17 @@ void Run(const std::string& out_path, int num_txns) {
       {"e2e_audit_ratio", e2e_audit_ns / e2e_logged_ns},
       {"monitor_on_ratio", monitor.on_ns / monitor.off_ns},
       {"e2e_monitor_ratio", e2e_monitor_ns / e2e_logged_ns},
+      {"sim_shed_median_us", sim_shed.median_us},
+      {"sim_shed_p99_us", sim_shed.p99_us},
+      {"shed_median_us", shed.median_us},
+      {"shed_p99_us", shed.p99_us},
+      {"overload_peak_tps", peak.goodput_tps},
+      {"overload_2x_tps", x2.goodput_tps},
+      {"overload_4x_tps", x4.goodput_tps},
+      {"overload_shed_2x", static_cast<double>(x2.shed)},
+      {"overload_shed_4x", static_cast<double>(x4.shed)},
+      {"overload_retained_2x", x2.goodput_tps / peak.goodput_tps},
+      {"overload_retained_4x", x4.goodput_tps / peak.goodput_tps},
   };
   for (const auto& [key, value] : rows) {
     std::printf("%-24s %12.4f\n", key, value);

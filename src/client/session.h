@@ -81,7 +81,7 @@ struct RetryPolicy {
 struct SessionOptions {
   /// Max undelivered transactions in flight; the backpressure window.
   size_t max_outstanding = 1;
-  RetryPolicy retry;
+  RetryPolicy retry{};
   /// Default end-to-end deadline budget, in session-clock microseconds
   /// from submission (0 = none). The budget covers the whole transaction
   /// including retries and backoff waits; expiry aborts with

@@ -636,7 +636,7 @@ void RuntimeBase::DrainInbox(uint32_t container) {
         DeliverReady(frame->executor,
                      [this, frame, fn, args = std::move(msg.args)]() mutable {
                        PinExecutor(frame->executor);
-                       ArriveFrame(frame, fn, std::move(args));
+                       StartFrameCoroutine(frame, fn, std::move(args));
                      });
         delete ctx;
         break;
@@ -1034,10 +1034,6 @@ Future RuntimeBase::Call(TxnFrame* caller, ReactorId reactor, ProcId proc,
   e.ctx = new PendingCall{frame, fn};
   PostEnvelope(caller->executor, std::move(e));
   return reply;
-}
-
-void RuntimeBase::ArriveFrame(TxnFrame* frame, const ProcFn* fn, Row args) {
-  StartFrameCoroutine(frame, fn, std::move(args));
 }
 
 void RuntimeBase::StartFrameCoroutine(TxnFrame* frame, const ProcFn* fn,

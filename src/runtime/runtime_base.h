@@ -409,7 +409,6 @@ class RuntimeBase : public CallBridge {
 
   void StartRoot(RootTxn* root, Reactor* reactor, const ProcFn* fn,
                  uint32_t executor, Row args);
-  void ArriveFrame(TxnFrame* frame, const ProcFn* fn, Row args);
   void StartFrameCoroutine(TxnFrame* frame, const ProcFn* fn, Row args);
   void OnProcBodyFinished(TxnFrame* frame);
   void OnFramePartDone(TxnFrame* frame);

@@ -6,14 +6,17 @@
 // from the plan seed (fire log, digest, and final table dump all equal),
 // end-to-end deadline expiry (terminal, no partial effects, metered), and
 // overload shedding (watermark + injected admission bursts) with
-// backoff-driven retry convergence.
+// backoff-driven retry convergence, graceful goodput degradation under
+// 2x/4x offered load, and the shed-every-submit fast path on both runtimes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/audit/checker.h"
@@ -582,6 +585,134 @@ TEST(Overload, RetryAbsorbsInjectedBurst) {
   EXPECT_GE(stats.retried, 3u);
   EXPECT_GE(stats.backoff_us.count(), 3u);
   EXPECT_DOUBLE_EQ(3, db.Stats().Value("reactdb_txn_shed_total"));
+}
+
+// --- Graceful degradation under offered overload ----------------------------
+
+constexpr int kOverloadContainers = 8;
+constexpr int64_t kOverloadCustomers = 8000;
+constexpr size_t kBaseWindow = 16;
+// Above the 1x window (no sheds at nominal load), below 2x of it.
+constexpr int kWatermark = 20;
+
+struct OfferedLoad {
+  double goodput_tps = 0;
+  uint64_t shed = 0;
+};
+
+/// Offers `n` transact_saving txns through a `window`-deep session against
+/// an outstanding-root `watermark` (0 = admission off), after a warm-up
+/// stream, on a fresh simulated database. Retry is off, so a shed is
+/// terminal and goodput (commits per virtual second) counts only commits.
+/// Requests rotate over distinct customers on every container.
+OfferedLoad OfferLoad(const ReactorDatabaseDef* def, int watermark,
+                      size_t window, int n) {
+  Database db;
+  DeploymentConfig dc = DeploymentConfig::SharedNothing(kOverloadContainers);
+  dc.shed_outstanding_roots = watermark;
+  REACTDB_CHECK_OK(db.Open(def, dc, Database::Sim()));
+  REACTDB_CHECK_OK(smallbank::Load(db.runtime(), kOverloadCustomers));
+  smallbank::Handles handles =
+      smallbank::ResolveHandles(db.runtime(), kOverloadCustomers);
+  client::SessionOptions sopts;
+  sopts.max_outstanding = window;
+  sopts.retry.max_attempts = 1;
+  auto session = db.CreateSession(sopts);
+
+  auto stream = [&](int count) {
+    OfferedLoad r;
+    uint64_t committed = 0;
+    double t0 = db.NowUs();
+    std::vector<client::SessionFuture> inflight;
+    size_t head = 0;
+    auto consume = [&] {
+      client::TxnOutcome out = inflight[head++].Wait();
+      if (out.ok()) {
+        ++committed;
+      } else {
+        EXPECT_TRUE(out.status().IsOverloaded()) << out.status().ToString();
+        ++r.shed;
+      }
+    };
+    int64_t per = kOverloadCustomers / kOverloadContainers;
+    for (int i = 0; i < count; ++i) {
+      if (inflight.size() - head >= window) consume();
+      int64_t idx = (i % kOverloadContainers) * per + 1 +
+                    (i / kOverloadContainers) % (per - 1);
+      inflight.push_back(
+          session->Submit(handles.customers[static_cast<size_t>(idx)],
+                          smallbank::kTransactSavingProc, {Value(1.0)}));
+    }
+    while (head < inflight.size()) consume();
+    r.goodput_tps =
+        static_cast<double>(committed) / ((db.NowUs() - t0) * 1e-6);
+    return r;
+  };
+  stream(n / 10 + 1);  // warm
+  OfferedLoad measured = stream(n);
+  session.reset();
+  db.Shutdown();
+  return measured;
+}
+
+// Offered load at 2x and 4x the base window against a watermark between
+// them: the excess is shed fast with kOverloaded while admitted work keeps
+// the executors busy, so goodput holds near the unshed peak instead of
+// collapsing under queueing. Deterministic on the simulator.
+TEST(Overload, GoodputDegradesGracefullyUnderOfferedLoad) {
+  constexpr int kTxns = 2000;
+  ReactorDatabaseDef def;
+  smallbank::BuildDef(&def, kOverloadCustomers);
+  OfferedLoad peak = OfferLoad(&def, /*watermark=*/0, kBaseWindow, kTxns);
+  ASSERT_EQ(0u, peak.shed);
+  OfferedLoad x2 = OfferLoad(&def, kWatermark, 2 * kBaseWindow, kTxns);
+  OfferedLoad x4 = OfferLoad(&def, kWatermark, 4 * kBaseWindow, kTxns);
+  EXPECT_GT(x2.shed, 0u) << "2x offered load never crossed the watermark";
+  EXPECT_GE(x2.goodput_tps / peak.goodput_tps, 0.70)
+      << "2x: " << x2.goodput_tps << " tps vs peak " << peak.goodput_tps;
+  EXPECT_GE(x4.goodput_tps / peak.goodput_tps, 0.50)
+      << "4x: " << x4.goodput_tps << " tps vs peak " << peak.goodput_tps;
+}
+
+std::atomic<bool> g_release_occupant{false};
+
+/// Holds its executor, and with it one outstanding root, until released.
+Proc HoldProc(TxnContext&, Row) {
+  while (!g_release_occupant.load()) std::this_thread::yield();
+  co_return Value(int64_t{1});
+}
+
+// One root pinned against a watermark of 1 puts every later Submit over
+// the watermark: each must shed synchronously, on both runtimes.
+TEST(Overload, PinnedOccupantShedsEverySubmit) {
+  constexpr uint64_t kSheds = 2000;
+  for (bool sim : {true, false}) {
+    SCOPED_TRACE(sim ? "sim" : "threads");
+    ReactorDatabaseDef def;
+    def.DefineType("Holder").AddProcedure("hold", &HoldProc);
+    REACTDB_CHECK_OK(def.DeclareReactor("h0", "Holder"));
+    Database db;
+    DeploymentConfig dc = DeploymentConfig::SharedNothing(1);
+    dc.shed_outstanding_roots = 1;
+    REACTDB_CHECK_OK(
+        db.Open(&def, dc, sim ? Database::Sim() : Database::Threads()));
+    ReactorId h0 = db.ResolveReactor("h0");
+    ProcId hold = db.ResolveProc(h0, "hold");
+
+    client::SessionOptions sopts;
+    sopts.max_outstanding = kSheds + 8;
+    sopts.retry.max_attempts = 1;
+    auto session = db.CreateSession(sopts);
+    g_release_occupant.store(false);
+    client::SessionFuture occupant = session->Submit(h0, hold, {});
+    for (uint64_t i = 0; i < kSheds; ++i) session->Submit(h0, hold, {});
+    g_release_occupant.store(true);
+    session->Drain();
+    EXPECT_EQ(kSheds, session->stats().shed);
+    EXPECT_TRUE(occupant.Wait().ok());
+    session.reset();
+    db.Shutdown();
+  }
 }
 
 }  // namespace

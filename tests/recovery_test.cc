@@ -486,23 +486,26 @@ TEST(Recovery, SecondaryIndexesAreRebuiltAndDeletesReplay) {
   }
 }
 
-// --- Thread runtime: wait_durable survives a kill ----------------------------
+// --- wait_durable: group commit does real work and survives a kill ---------
 
-TEST(Recovery, ThreadRuntimeWaitDurableSurvivesCrash) {
-  std::string dir = FreshDir("threads");
+/// Runs wait_durable deposits on a fresh `options.data_dir`: the group
+/// commit must log records, issue fsyncs and hold deliveries for the
+/// durable watermark while they run, and since every Wait() returned only
+/// once its epoch was durable, a crash right after loses nothing.
+void WaitDurableSurvivesCrash(const Database::Options& options) {
   auto def = std::make_unique<ReactorDatabaseDef>();
   smallbank::BuildDef(def.get(), kCustomers);
   double expected = 0;
   {
     Database db;
-    Database::Options o;  // threads
-    o.data_dir = dir;
-    o.log_flush_interval_us = 500;
-    ASSERT_TRUE(
-        db.Open(def.get(), DeploymentConfig::SharedNothing(kContainers), o)
-            .ok());
+    ASSERT_TRUE(db.Open(def.get(),
+                        DeploymentConfig::SharedNothing(kContainers), options)
+                    .ok());
     ASSERT_FALSE(db.recovered());
     ASSERT_TRUE(smallbank::Load(db.runtime(), kCustomers).ok());
+    const log::DurabilityStats& device = db.durability()->stats();
+    uint64_t records_before = device.records_logged.load();
+    uint64_t fsyncs_before = device.fsyncs.load();
     auto session = db.CreateSession({.max_outstanding = 4,
                                      .wait_durable = true});
     for (int i = 0; i < 12; ++i) {
@@ -514,24 +517,34 @@ TEST(Recovery, ThreadRuntimeWaitDurableSurvivesCrash) {
     client::SessionStats stats = session->stats();
     EXPECT_EQ(12u, stats.committed);
     EXPECT_GT(stats.durable_waits, 0u);
+    EXPECT_GT(device.records_logged.load(), records_before)
+        << "nothing was logged";
+    EXPECT_GT(device.fsyncs.load(), fsyncs_before) << "no fsync ever happened";
     expected = 20000.0 * kCustomers + 12 * 100.0;
     session.reset();
-    // Every Wait() above returned only after its epoch was durable, so a
-    // crash right now must lose nothing.
     db.CrashForTest();
   }
   {
     Database db;
-    Database::Options o;
-    o.data_dir = dir;
-    ASSERT_TRUE(
-        db.Open(def.get(), DeploymentConfig::SharedNothing(kContainers), o)
-            .ok());
+    ASSERT_TRUE(db.Open(def.get(),
+                        DeploymentConfig::SharedNothing(kContainers), options)
+                    .ok());
     ASSERT_TRUE(db.recovered());
     double total = smallbank::TotalBalance(db.runtime(), kCustomers).value();
     EXPECT_NEAR(expected, total, 1e-6);
     db.Shutdown();
   }
+}
+
+TEST(Recovery, ThreadRuntimeWaitDurableSurvivesCrash) {
+  Database::Options o;  // threads
+  o.data_dir = FreshDir("threads");
+  o.log_flush_interval_us = 500;
+  WaitDurableSurvivesCrash(o);
+}
+
+TEST(Recovery, SimWaitDurableSurvivesCrash) {
+  WaitDurableSurvivesCrash(SimDurable(FreshDir("simwait")));
 }
 
 // An injected fsync failure latches kIOError exactly like a real device:
